@@ -45,7 +45,7 @@ MIN_E2E_SPEEDUP = 1.0 if QUICK else 1.15
 
 
 def _solver_options(plan_mode):
-    return SolverOptions(nranks=1, parallelism=4, ordering="natural",
+    return SolverOptions(nranks=1, ordering="natural",
                          plan_mode=plan_mode)
 
 

@@ -7,7 +7,7 @@
   (REP200-REP203) and lock discipline (REP210-REP211) over the
   pooled-memory and service layers.
 * ``waves`` — the wave conflict verifier over the full determinism
-  scenario grid (5 solver families × 3 matrices, parallelism 4).
+  scenario grid (5 solver families × 3 matrices).
 * ``races`` — the scenario grid with the PGAS happens-before checker
   attached as well (vector clocks on every world).
 * ``selftest`` — mutation self-tests: each layer must be clean on the
@@ -38,18 +38,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(list(args.paths))
 
 
-def _run_grid(check_races: bool, parallelism: int) -> int:
+def _run_grid(check_races: bool) -> int:
     from .report import format_findings
     from .scenarios import run_scenarios
 
-    results = run_scenarios(parallelism=parallelism,
-                            check_races=check_races)
+    results = run_scenarios(check_races=check_races)
     bad = 0
     for res in results:
         status = "clean" if res.clean else f"{len(res.findings)} finding(s)"
         print(f"{res.family:>20s} × {res.matrix:<10s} "
               f"flushes={res.flushes_checked:<4d} "
-              f"waves={res.waves_executed:<4d} "
               f"plan={res.plan_stream_calls:<5d} {status}")
         if not res.clean:
             bad += 1
@@ -60,12 +58,12 @@ def _run_grid(check_races: bool, parallelism: int) -> int:
     return 1 if bad else 0
 
 
-def _cmd_waves(args: argparse.Namespace) -> int:
-    return _run_grid(check_races=False, parallelism=args.parallelism)
+def _cmd_waves(_args: argparse.Namespace) -> int:
+    return _run_grid(check_races=False)
 
 
-def _cmd_races(args: argparse.Namespace) -> int:
-    return _run_grid(check_races=True, parallelism=args.parallelism)
+def _cmd_races(_args: argparse.Namespace) -> int:
+    return _run_grid(check_races=True)
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
@@ -140,7 +138,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
     print("== flow (ownership + locks) ==")
     rc |= _cmd_flow(argparse.Namespace(paths=[]))
     print("== scenarios (waves + races) ==")
-    rc |= _run_grid(check_races=True, parallelism=args.parallelism)
+    rc |= _run_grid(check_races=True)
     print("== mutation selftest ==")
     rc |= _cmd_selftest(args)
     return rc
@@ -173,9 +171,7 @@ def main(argv: list[str] | None = None) -> int:
          "scenario grid with the happens-before checker attached"),
         ("all", _cmd_all, "lint + scenarios + mutation selftest"),
     ):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--parallelism", type=int, default=4)
-        p.set_defaults(fn=fn)
+        sub.add_parser(name, help=doc).set_defaults(fn=fn)
 
     p_self = sub.add_parser(
         "selftest", help="mutation self-tests (seeded defect injection)")

@@ -2,8 +2,8 @@
 
 The wave conflict verifier needs, for each :class:`~repro.kernels.dispatch
 .KernelCall`, the exact memory regions the call reads and writes and
-*how* it writes them — in place inside its pool job (``immediate``) or
-through the executor's ordered per-buffer scatter queues (``deferred``).
+*how* it writes them — in place (``immediate``) or as an accumulating
+scatter-add / aggregate subtract (``deferred``).
 This module is the single source of truth for those effects; the lint
 pass cross-checks it against :data:`~repro.kernels.dispatch.KERNEL_OPS`
 (every op must be described) and against the handler bodies themselves
@@ -26,9 +26,9 @@ from ..kernels.dispatch import ExecContext, KernelCall
 __all__ = ["Access", "KERNEL_EFFECTS", "HANDLER_WRITE_SPEC", "RHS_OPS",
            "canonical_region", "call_accesses"]
 
-# Ops that read/write overlapping slices of the shared rhs buffer; the
-# executor always flushes streams containing them serially (the wave
-# verifier has nothing to prove for such flushes).
+# Ops that read/write overlapping slices of the shared rhs buffer; solve
+# streams are never re-sorted by wave (the wave verifier has nothing to
+# prove for such flushes).
 RHS_OPS = frozenset({"trsv", "gemv_fwd", "gemv_bwd"})
 
 
@@ -45,9 +45,9 @@ class Access:
         ``True`` for a write (or read-modify-write); ``False`` for a
         pure read.
     deferred:
-        ``True`` when the write is routed through the executor's ordered
-        scatter queues (scatter-adds, aggregate applies); ``False`` for
-        in-place access inside the pool job.
+        ``True`` when the write accumulates into the buffer
+        (scatter-adds, aggregate applies); ``False`` for in-place
+        access.
     start / end:
         Element range within the canonical buffer; ``end is None`` means
         the full buffer with unknown extent.
@@ -209,7 +209,7 @@ def _fx_frontal(call: KernelCall, ctx: ExecContext) -> list[Access]:
 
 def _fx_rhs_op(call: KernelCall, ctx: ExecContext) -> list[Access]:
     # Solve kernels read and write overlapping slices of the one shared
-    # rhs buffer; the executor never runs them on the wave path, so the
+    # rhs buffer and the wave verifier skips their streams, so the
     # whole-buffer write is the honest (and sufficient) description.
     return [_whole(("rhs",), ctx, write=True)]
 

@@ -8,8 +8,7 @@ Run as ``python -m repro.analysis.lint`` (or through the combined
     anywhere under ``src/repro``; reproductions must be replayable.
 ``REP102`` **confined concurrency** — ``threading`` /
     ``concurrent.futures`` / ``multiprocessing`` imports are allowed only
-    in ``kernels/dispatch.py``, the ``service/`` package and
-    ``core/tracing.py`` (which exports the sanctioned
+    in the ``service/`` package and ``core/tracing.py`` (which exports the sanctioned
     :func:`~repro.core.tracing.mutex` factory for everyone else).
 ``REP103`` **no validation asserts** — library code must not use
     ``assert`` for input validation: asserts vanish under ``python -O``,
@@ -61,7 +60,7 @@ SRC_ROOT = Path(__file__).resolve().parents[1]  # src/repro
 
 # Files (relative to src/repro, posix style) allowed to import thread
 # primitives.  ``service/`` is a directory allowance.
-THREADING_ALLOWED = ("kernels/dispatch.py", "core/tracing.py")
+THREADING_ALLOWED = ("core/tracing.py",)
 THREADING_ALLOWED_DIRS = ("service/",)
 THREAD_MODULES = ("threading", "concurrent.futures", "concurrent",
                   "multiprocessing")
@@ -161,8 +160,8 @@ def _check_threading(tree: ast.AST, path: str, rel: str) -> Iterator[Finding]:
                 yield Finding(
                     rule="REP102", where=f"{path}:{node.lineno}",
                     message=f"thread primitive import {name!r} outside the "
-                            "allowlist (kernels/dispatch.py, service/, "
-                            "core/tracing.py); use repro.core.tracing.mutex()")
+                            "allowlist (service/, core/tracing.py); use "
+                            "repro.core.tracing.mutex()")
 
 
 def _check_asserts(tree: ast.AST, path: str) -> Iterator[Finding]:

@@ -11,7 +11,7 @@ The injections mirror the analysis layers:
 
 * **waves** — a real factorization's flush stream is captured, verified
   clean, then mutated: a ``trsm_block`` call is duplicated *into its own
-  wave* (two concurrent in-place writes of one panel block — must raise
+  wave* (two unordered in-place writes of one panel block — must raise
   ``WAVE001``) and re-submitted *into an earlier wave* (submission/wave
   order inversion — must raise ``WAVE002``).
 * **plan-waves** — the same stream is run through the plan compile pass
@@ -89,12 +89,12 @@ class MutationReport:
 
 
 def _capture_factor_flush() -> tuple:
-    """One real wave-parallel factorization's flush stream + executor."""
+    """One real factorization's flush stream + executor."""
     from ..core.solver import SolverOptions, SymPackSolver
     from ..sparse.generators import random_spd
 
     a = random_spd(60, density=0.15, seed=3)
-    solver = SymPackSolver(a, SolverOptions(nranks=2, parallelism=4))
+    solver = SymPackSolver(a, SolverOptions(nranks=2))
     captured: list = []
     solver.session._flush_hook = (
         lambda executor, pending: captured.append((executor, list(pending))))
@@ -106,19 +106,16 @@ def selftest_waves() -> MutationReport:
     """Wave verifier: clean stream passes; injected conflicts are caught."""
     executor, pending = _capture_factor_flush()
     ctx = executor.context
-    par, batching = executor.parallelism, executor.batching
-    clean = verify_flush(pending, ctx, parallelism=par, batching=batching)
+    clean = verify_flush(pending, ctx)
 
     idx = next(i for i, (call, _w) in enumerate(pending)
                if call.op == "trsm_block")
     call, wave = pending[idx]
 
     # Injection 1: the same in-place panel write twice in one wave.
-    overlapping = verify_flush(pending + [(call, wave)], ctx,
-                               parallelism=par, batching=batching)
+    overlapping = verify_flush(pending + [(call, wave)], ctx)
     # Injection 2: re-submission into an earlier wave (order inversion).
-    inverted = verify_flush(pending + [(call, max(0, wave - 1))], ctx,
-                            parallelism=par, batching=batching)
+    inverted = verify_flush(pending + [(call, max(0, wave - 1))], ctx)
 
     injected = overlapping + inverted
     report = MutationReport(
@@ -149,9 +146,9 @@ def selftest_plan_waves() -> MutationReport:
 
     * a ``multi_update`` group scattering into a ``trsm_block``'s target,
       *inserted ahead of the whole stream* at the trsm's own wave — the
-      deferred apply then precedes the in-place write in submission order
-      while their waves are equal, an order the wave path cannot
-      reproduce (``WAVE003``);
+      accumulating write then precedes the in-place write in submission
+      order while their waves are equal, so the waves do not levelize
+      the pair (``WAVE003``);
     * the trsm's in-place block write duplicated into its own wave
       (``WAVE001``), proving plain conflicts survive compilation too.
     """
@@ -161,9 +158,8 @@ def selftest_plan_waves() -> MutationReport:
 
     executor, pending = _capture_factor_flush()
     ctx = executor.context
-    par, batching = executor.parallelism, executor.batching
     plan = compile_stream(pending)
-    clean = verify_plan(plan, ctx, parallelism=par, batching=batching)
+    clean = verify_plan(plan, ctx)
 
     idx = next(i for i, (call, _w) in enumerate(pending)
                if call.op == "trsm_block")
@@ -173,11 +169,9 @@ def selftest_plan_waves() -> MutationReport:
         ("syrk", ("blk", s, bi), ("diag", s), None, np.arange(2), -1.0),
     ),))
     fused_mutant = compile_stream([(group, wave)] + list(pending))
-    fused = verify_plan(fused_mutant, ctx, parallelism=par,
-                        batching=batching)
+    fused = verify_plan(fused_mutant, ctx)
     dup_mutant = compile_stream(list(pending) + [(call, wave)])
-    duplicated = verify_plan(dup_mutant, ctx, parallelism=par,
-                             batching=batching)
+    duplicated = verify_plan(dup_mutant, ctx)
 
     report = MutationReport(
         layer="plan-waves",

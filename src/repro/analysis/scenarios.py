@@ -1,7 +1,8 @@
 """Checked execution scenarios: the determinism property-suite matrix.
 
 The determinism property tests (``tests/property/``) pin *bit-identity*
-of the three flush modes across all five solver families; this module
+of the batched flush against one-at-a-time execution across all five
+solver families; this module
 runs the same family × matrix grid with the wave conflict verifier and
 the happens-before checker attached, turning the empirical bit-identity
 evidence into per-run mechanical proofs.  The CI ``static-analysis`` job
@@ -37,7 +38,6 @@ class ScenarioResult:
     family: str
     matrix: str
     flushes_checked: int
-    waves_executed: int
     plan_stream_calls: int = 0
     findings: list[Finding] = field(default_factory=list)
 
@@ -92,8 +92,7 @@ def scenario_grid() -> list[tuple[str, str]]:
             for cls, _opts in _families() for key in sorted(_MATRICES)]
 
 
-def run_scenarios(parallelism: int = 4, check_races: bool = True
-                  ) -> list[ScenarioResult]:
+def run_scenarios(check_races: bool = True) -> list[ScenarioResult]:
     """Run every family × matrix scenario with checking enabled.
 
     Each scenario factorizes and solves under ``check_waves`` (every
@@ -107,12 +106,12 @@ def run_scenarios(parallelism: int = 4, check_races: bool = True
         for key in sorted(_MATRICES):
             a = _MATRICES[key]()
             nranks = 2 if key == "sparse" else 1
-            options = options_cls(nranks=nranks, parallelism=parallelism,
-                                  check_waves=True, check_races=check_races)
+            options = options_cls(nranks=nranks, check_waves=True,
+                                  check_races=check_races)
             solver = solver_cls(a, options)
             session = solver.session
             flushes = 0
-            captured: list = []  # first factor flush: (stream, ctx, cfg)
+            captured: list = []  # first factor flush: (stream, ctx)
             verify = session._flush_hook
 
             def counting_hook(executor: Any, pending: list,
@@ -121,20 +120,17 @@ def run_scenarios(parallelism: int = 4, check_races: bool = True
                 nonlocal flushes
                 flushes += 1
                 if not _captured:
-                    _captured.append((list(pending), executor.context,
-                                      executor.parallelism,
-                                      executor.batching))
+                    _captured.append((list(pending), executor.context))
                 if _verify is not None:
                     _verify(executor, pending)
 
             session._flush_hook = counting_hook
-            info = solver.factorize()
+            solver.factorize()
             rhs = np.linspace(-1.0, 1.0, a.n * 2).reshape(a.n, 2)
             solver.solve(rhs)
-            waves = info.exec_stats.waves if info.exec_stats else 0
             # Re-verify the stream the warm path would replay: compile
             # the captured factor flush (fusion + interning) and run the
-            # plan verifier with the executor's own configuration.
+            # plan verifier on it.
             findings = (list(session.wave_findings)
                         + list(session.race_findings))
             plan_calls = 0
@@ -142,16 +138,14 @@ def run_scenarios(parallelism: int = 4, check_races: bool = True
                 from ..plans import compile_stream
                 from .waves import verify_plan
 
-                stream, ctx, par, batching = captured[0]
+                stream, ctx = captured[0]
                 plan = compile_stream(stream)
                 plan_calls = plan.calls
-                findings.extend(verify_plan(plan, ctx, parallelism=par,
-                                            batching=batching))
+                findings.extend(verify_plan(plan, ctx))
             results.append(ScenarioResult(
                 family=solver_cls.__name__,
                 matrix=key,
                 flushes_checked=flushes,
-                waves_executed=waves,
                 plan_stream_calls=plan_calls,
                 findings=findings,
             ))

@@ -1,43 +1,49 @@
-"""Wave conflict verifier for the wave-parallel kernel executor.
+"""Wave conflict verifier: waves are a sound levelization of the effects.
+
+The kernel executor never runs anything concurrently, but three
+mechanisms reorder or cut the flush stream *by wave* and rely on the
+result producing the same bytes as submission order: canonical
+``(wave, tid)`` re-sorting (resilient runs), checkpoint wave cuts
+(:meth:`KernelExecutor.flush_through
+<repro.kernels.dispatch.KernelExecutor.flush_through>`) and compiled
+plan streams.  That holds iff the wave numbers are a sound
+levelization of the byte-level effects — any two calls whose accesses
+conflict sit in different waves, ordered the way they were submitted.
 
 :func:`verify_flush` consumes exactly what :meth:`KernelExecutor.flush
 <repro.kernels.dispatch.KernelExecutor.flush>` consumes — the pending
-``(KernelCall, wave)`` stream — and proves that the wave discipline is
-sound for that stream.  The executor's bit-identity argument rests on
-three properties, each checked pairwise over overlapping accesses to the
-same canonical buffer:
+``(KernelCall, wave)`` stream — and proves it for that stream with three
+rules, each checked pairwise over overlapping accesses to the same
+canonical buffer (:mod:`repro.analysis.effects` classifies every write
+as *in place* or *accumulating* — a scatter-add or aggregate subtract,
+``Access.deferred``):
 
 1. **Intra-wave isolation** (``WAVE001``): two calls in the same wave
    must not touch overlapping bytes when at least one access is an
-   in-place (immediate) write — pool jobs of one wave run concurrently
-   in arbitrary order.
+   in-place write — calls of one wave may be executed in either order.
 2. **Cross-wave order consistency** (``WAVE002``): for overlapping
-   immediate accesses in different waves (with at least one write), wave
-   order must agree with submission order, because the serial reference
-   path replays submission order.
-3. **Deferred/immediate ordering** (``WAVE003``): a deferred scatter-add
-   or aggregate apply into a buffer is applied at the drain preceding
-   the first wave that touches the buffer in place.  It therefore lands
-   *before* an immediate access in a strictly later wave and *after* an
-   immediate access in the same or an earlier wave — that effective
+   in-place accesses in different waves (with at least one write), wave
    order must agree with submission order.
+3. **Accumulate/in-place ordering** (``WAVE003``): an accumulating
+   write must sit in a strictly earlier wave than an overlapping
+   in-place access submitted after it, and in the same or a later wave
+   than one submitted before it.
 
-Deferred–deferred pairs need no check of their own: per-buffer queues
-are sorted by submission index at every drain, so two deferred writes
-can only be applied out of order if an intervening immediate access
-splits them across drains — and that intervening access then fails
-property 3 against one of the two.
+Accumulate–accumulate pairs need no check of their own: every consumer
+of the wave numbers keeps same-wave calls in a timing-independent order,
+and two accumulating writes in different waves can only be applied out
+of submission order if an in-place access separates them — which then
+fails rule 3 against one of the two.
 
-Known precision limit: the *source* read of a deferred aggregate apply
-is modelled at the apply's own wave (where its operand queue is
-drained), not at the later drain that executes the subtraction.  A write
-to an aggregate submitted *after* its apply is serially consistent and
-not flagged; no graph builder produces that shape.
+Known precision limit: the *source* read of an aggregate apply is
+modelled at the apply's own wave.  A write to an aggregate submitted
+*after* its apply is serially consistent and not flagged; no graph
+builder produces that shape.
 
-The verifier mirrors the executor's path selection: a flush that the
-executor would run serially (``parallelism <= 1``, batching off, a
-missing wave, or any rhs-sweep kernel) has nothing to prove, and
-:func:`verify_flush` returns no findings for it.
+A stream with a missing wave (direct submitters) or any rhs-sweep kernel
+(solve graphs sweep one shared rhs buffer in submission order and are
+never re-sorted) has nothing to prove; :func:`verify_flush` returns no
+findings for it.
 """
 
 from __future__ import annotations
@@ -56,33 +62,26 @@ __all__ = ["verify_flush", "verify_plan", "is_wave_parallel"]
 _ELT_BYTES = 8  # float64 factor/aggregate storage throughout
 
 
-def is_wave_parallel(pending: list[tuple[KernelCall, int | None]],
-                     parallelism: int, batching: bool) -> bool:
-    """Would :meth:`KernelExecutor.flush` take the wave path for this stream?
+def is_wave_parallel(pending: list[tuple[KernelCall, int | None]]) -> bool:
+    """Does this stream carry a wave levelization worth verifying?
 
-    Mirrors the executor's gate exactly; keep the two in sync.
+    Non-empty, every entry has a wave, and no rhs-sweep op.
     """
     return bool(
         pending
-        and parallelism > 1
-        and batching
         and all(w is not None for _, w in pending)
         and not any(c.op in RHS_OPS for c, _ in pending))
 
 
 def verify_flush(pending: list[tuple[KernelCall, int | None]],
-                 context: ExecContext,
-                 parallelism: int = 2,
-                 batching: bool = True) -> list[Finding]:
+                 context: ExecContext) -> list[Finding]:
     """Check one flush's pending stream against the wave invariants.
 
-    Parameters mirror the executor's configuration so the verifier
-    proves soundness for the path that configuration would actually
-    take.  Returns one :class:`~repro.analysis.report.Finding` per
+    Returns one :class:`~repro.analysis.report.Finding` per
     violated pair, with submission indices, waves, ops, block
     coordinates and the offending element/byte ranges in ``details``.
     """
-    if not is_wave_parallel(pending, parallelism, batching):
+    if not is_wave_parallel(pending):
         return []
 
     # (submission idx, wave, op, Access) grouped by canonical buffer.
@@ -125,9 +124,8 @@ def verify_flush(pending: list[tuple[KernelCall, int | None]],
                 span = acc_d.overlaps(acc_i)
                 if span is None:
                     continue
-                # Effective wave-path order: the deferred entry lands
-                # before the immediate access iff its wave is strictly
-                # earlier (drain happens at the immediate wave's start).
+                # The accumulating write lands before the in-place
+                # access iff its wave is strictly earlier.
                 if (idx_d < idx_i) != (wave_d < wave_i):
                     findings.append(_pair_finding(
                         "WAVE003", "deferred apply ordered inconsistently "
@@ -139,9 +137,7 @@ def verify_flush(pending: list[tuple[KernelCall, int | None]],
     return findings
 
 
-def verify_plan(plan: NumericPlan, context: ExecContext,
-                parallelism: int = 2,
-                batching: bool = True) -> list[Finding]:
+def verify_plan(plan: NumericPlan, context: ExecContext) -> list[Finding]:
     """Check a compiled plan's frozen stream against the wave invariants.
 
     A :class:`~repro.plans.plan.NumericPlan` carries the exact
@@ -153,8 +149,7 @@ def verify_plan(plan: NumericPlan, context: ExecContext,
     invariants are the same three the live verifier proves (WAVE001–003);
     only the stream source differs.
     """
-    return verify_flush(list(plan.stream), context,
-                        parallelism=parallelism, batching=batching)
+    return verify_flush(list(plan.stream), context)
 
 
 def _pair_finding(rule: str, what: str, key: tuple,

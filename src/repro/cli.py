@@ -97,7 +97,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     solver = SymPackSolver(a, SolverOptions(
         nranks=args.nranks, ranks_per_node=args.ranks_per_node,
         ordering=args.ordering, machine=_machine(args.machine),
-        offload=offload, parallelism=args.parallelism,
+        offload=offload,
         check_waves=args.check_waves, check_races=args.check_races,
         plan_mode="on" if args.plan else "off",
         analysis_cache=analysis_cache,
@@ -366,9 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="rng seed of the random right-hand side")
     p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="wave-parallel kernel flush workers (results stay "
-                        "bit-identical to serial; see docs/performance.md)")
     p.add_argument("--save-factor", default=None, metavar="PATH",
                    help="persist the factor (.npz) for later `resolve` runs")
     p.add_argument("--plan", dest="plan", action="store_true", default=False,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..kernels.dispatch import ExecContext, ExecutorStats
+from ..kernels.dispatch import ExecContext, ExecutorStats, KernelExecutor
 from ..machine.model import MachineModel
 from ..memory import BufferPool, MemoryLedger, MemorySnapshot
 from ..machine.perlmutter import perlmutter
@@ -32,7 +32,7 @@ from ..pgas.device_kinds import DeviceKind
 from ..pgas.network import MemoryKindsMode
 from ..pgas.runtime import CommStats
 from ..plans import (NumericPlan, PlanArena, PlanStats, StreamRecorder,
-                     compile_plan, execute_plan)
+                     compile_plan)
 from ..resilience.options import ResilienceOptions
 from ..sparse.csc import SymmetricCSC
 from ..sparse.validate import check_finite, probable_spd
@@ -84,16 +84,6 @@ class CommonOptions:
         model (:func:`repro.machine.frontier` for HIP, etc.).
     keep_timeline:
         Record the full per-task timeline in the trace.
-    parallelism:
-        Worker-thread count of the deferred numeric flush.  ``1``
-        (default) executes kernels serially in submission order; ``> 1``
-        executes each dependency wave's independent kernels on a thread
-        pool with bit-identical results (see ``docs/performance.md``).
-    batching:
-        ``False`` disables flush batching entirely: every kernel call
-        executes one at a time in submission order.  This is the serial
-        reference mode the performance benchmarks and determinism tests
-        compare against; results are bit-identical in all three modes.
     check_waves:
         Run the wave conflict verifier (:mod:`repro.analysis.waves`) on
         every kernel flush; findings accumulate on the session's
@@ -107,7 +97,7 @@ class CommonOptions:
         ``"on"`` records the first DES-driven factorization (and each
         first solve per rhs width) into a compiled
         :class:`~repro.plans.NumericPlan` and executes every warm
-        repeat straight through the wave-parallel kernel executor —
+        repeat straight through the kernel executor's batched flush —
         no task-graph traversal, no event queue — with bit-identical
         results (CLI ``--plan``; see ``docs/performance.md``).
         ``"off"`` (default) keeps the classic DES replay path.
@@ -126,8 +116,6 @@ class CommonOptions:
     device_capacity: int | None = None
     device_kind: DeviceKind = DeviceKind.CUDA
     keep_timeline: bool = False
-    parallelism: int = 1
-    batching: bool = True
     check_waves: bool = False
     check_races: bool = False
     plan_mode: str = "off"
@@ -151,9 +139,6 @@ class CommonOptions:
         if self.ranks_per_node < 1:
             raise ValueError(
                 f"ranks_per_node must be >= 1, got {self.ranks_per_node}")
-        if self.parallelism < 1:
-            raise ValueError(
-                f"parallelism must be >= 1, got {self.parallelism}")
         if self.plan_mode not in ("off", "on"):
             raise ValueError(
                 f"plan_mode must be 'off' or 'on', got {self.plan_mode!r}")
@@ -413,19 +398,24 @@ class SolverBase:
 
     def _execute_plan(self, plan: NumericPlan, ctx: ExecContext
                       ) -> "ExecutorStats":
-        """Run one compiled plan against ``ctx`` with the arena installed."""
+        """Run one compiled plan against ``ctx`` with the arena installed.
+
+        No task-graph traversal, no event queue, no simulated RPC: a
+        fresh executor flushes the plan's frozen stream, observed by the
+        session's flush hook exactly as live flushes are (wave checking
+        covers the compiled hot path too).
+        """
         if self._plan_arena is None:
             self._plan_arena = PlanArena(self.session.pool)
         ctx.plan_arena = self._plan_arena
+        executor = KernelExecutor(context=ctx,
+                                  flush_hook=self.session._flush_hook)
         try:
-            stats = execute_plan(
-                plan, ctx, parallelism=self.options.parallelism,
-                batching=self.options.batching,
-                flush_hook=self.session._flush_hook)
+            executor.execute_stream(plan.stream)
         finally:
             ctx.plan_arena = None
         self.plan_stats.hits += 1
-        return stats
+        return executor.stats
 
     def _plan_refactorize(self) -> FactorizeInfo:
         """Warm refactorization through the compiled plan (no DES).

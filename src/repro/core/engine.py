@@ -104,12 +104,6 @@ class FanOutEngine:
     executor:
         Optional pre-built kernel executor; by default one is created
         over ``graph.context``.
-    parallelism:
-        Worker-thread count of the deferred numeric flush (forwarded to
-        the default-constructed :class:`KernelExecutor`; 1 = serial).
-    batching:
-        ``False`` disables flush batching entirely — the one-at-a-time
-        reference execution mode (forwarded to the default executor).
     flush_hook:
         Optional flush observer forwarded to the default-constructed
         executor (see :class:`~repro.kernels.dispatch.KernelExecutor`).
@@ -134,8 +128,6 @@ class FanOutEngine:
         scheduling: str | Scheduling = Scheduling.FIFO,
         trace: ExecutionTrace | None = None,
         executor: KernelExecutor | None = None,
-        parallelism: int = 1,
-        batching: bool = True,
         flush_hook=None,
         canonical: bool = False,
         checkpointer=None,
@@ -149,8 +141,6 @@ class FanOutEngine:
         self.trace = trace if trace is not None else ExecutionTrace()
         self.executor = (executor if executor is not None
                          else KernelExecutor(graph.context, trace=self.trace,
-                                             parallelism=parallelism,
-                                             batching=batching,
                                              canonical=canonical,
                                              flush_hook=flush_hook))
         if canonical:

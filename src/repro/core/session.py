@@ -76,8 +76,6 @@ class ExecutionSession:
         device_kind: DeviceKind = DeviceKind.CUDA,
         keep_timeline: bool = False,
         trace: ExecutionTrace | None = None,
-        parallelism: int = 1,
-        batching: bool = True,
         check_waves: bool = False,
         check_races: bool = False,
         ledger: MemoryLedger | None = None,
@@ -92,8 +90,6 @@ class ExecutionSession:
         self.scheduling = Scheduling(scheduling)
         self.device_capacity = device_capacity
         self.device_kind = device_kind
-        self.parallelism = parallelism
-        self.batching = batching
         # ``trace`` may be shared across sessions (the solve service hands
         # every cached solver one service-wide trace); the trace itself is
         # thread-safe, and the session guards its own accumulators below.
@@ -135,10 +131,7 @@ class ExecutionSession:
         """Default ``check_waves`` observer: verify every flush's stream."""
         from ..analysis.waves import verify_flush
 
-        self.wave_findings.extend(verify_flush(
-            pending, executor.context,
-            parallelism=executor.parallelism,
-            batching=executor.batching))
+        self.wave_findings.extend(verify_flush(pending, executor.context))
 
     @classmethod
     def from_options(cls, options, machine: MachineModel | None = None,
@@ -165,8 +158,6 @@ class ExecutionSession:
             device_kind=options.device_kind,
             keep_timeline=options.keep_timeline,
             trace=trace,
-            parallelism=options.parallelism,
-            batching=options.batching,
             check_waves=getattr(options, "check_waves", False),
             check_races=getattr(options, "check_races", False),
             ledger=ledger,
@@ -223,8 +214,6 @@ class ExecutionSession:
         world = self._new_world(tracer=tracer)
         engine = FanOutEngine(world, graph, self.offload,
                               scheduling=self.scheduling, trace=self.trace,
-                              parallelism=self.parallelism,
-                              batching=self.batching,
                               flush_hook=self._flush_hook)
         result = engine.run()
         if tracer is not None:

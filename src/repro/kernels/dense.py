@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.blas import dtrsm as _dtrsm
+from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 from ..sparse.validate import NotPositiveDefiniteError
 
-__all__ = ["potrf", "trsm_right_lower_trans", "syrk_lower", "gemm_nt",
+__all__ = ["potrf", "trsm_right_lower_trans", "trsv", "syrk_lower", "gemm_nt",
            "OP_POTRF", "OP_TRSM", "OP_SYRK", "OP_GEMM"]
 
 OP_POTRF = "POTRF"
@@ -55,6 +56,26 @@ def trsm_right_lower_trans(b: np.ndarray, l_diag: np.ndarray) -> np.ndarray:
     # Fortran-ordered operands without copies, and transposing the
     # Fortran-ordered result back yields a C-contiguous X.
     return _dtrsm(1.0, l_diag.T, b.T, side=0, lower=0, trans_a=1).T
+
+
+def trsv(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """Solve ``a @ x = b`` for one vector ``b`` against a triangular ``a``.
+
+    Makes the very LAPACK ``trtrs`` call that
+    ``scipy.linalg.solve_triangular(a, b, lower=lower)`` makes — same
+    routine, same operand layout, so the same bits — without the
+    wrapper's per-call validation, which costs ~10x the solve itself on
+    the narrow supernodes a triangular sweep visits thousands of times.
+    """
+    if a.flags.f_contiguous:
+        x, info = _dtrtrs(a, b, lower=lower)
+    else:
+        # trtrs expects Fortran ordering: solve the transposed system.
+        x, info = _dtrtrs(a.T, b, lower=not lower, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
 
 
 def syrk_lower(l_panel: np.ndarray) -> np.ndarray:

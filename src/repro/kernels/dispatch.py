@@ -18,14 +18,13 @@ the closure design could not provide:
   per-call overhead on the hot update path while keeping the scatter
   order — and therefore the floating-point results — identical to
   eager per-task execution;
-* **wave-parallel execution** — with ``parallelism > 1`` the flush
-  executes one dependency *wave* (DAG depth level, recorded by the engine
-  at submission) at a time: the wave's mutually independent kernels run
-  on a ``ThreadPoolExecutor`` (NumPy/SciPy BLAS releases the GIL), with
-  same-op same-shape products stacked wave-wide, while every scatter-add
-  is deferred into a per-buffer queue that the coordinating thread drains
-  in original submission order just before the buffer's first consumer
-  executes — so the results stay **bit-identical** to the serial path.
+* **a stream that can be re-sorted, cut and recorded** — the engine
+  records each task's dependency *wave* (DAG depth level) at submission.
+  The flush never runs anything concurrently; waves are an ordering
+  notion that gives canonical ``(wave, tid)`` re-sorting, checkpoint
+  cuts (:meth:`KernelExecutor.flush_through`) and compiled-plan streams
+  a timing-independent order, which the wave conflict verifier
+  (:mod:`repro.analysis.waves`) proves sound.
 
 Operand references understood by :meth:`ExecContext.resolve`:
 
@@ -48,15 +47,12 @@ target's contiguous memory — elementwise identical to the historical
 
 from __future__ import annotations
 
-import os
 import time
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-import scipy.linalg as la
 
 from ..memory import BufferPool
 from . import dense as kd
@@ -182,10 +178,9 @@ class ExecContext:
 
         Multifrontal fronts and contribution blocks live here; every
         take must be balanced by :meth:`release_buffer` before the run
-        ends (``end_run`` reconciles).  Thread-safe: wave-parallel
-        frontal kernels call this from pool worker threads.  During a
-        compiled-plan replay (``plan_arena`` set) the arena serves the
-        take from its retained cache when it can.
+        ends (``end_run`` reconciles).  During a compiled-plan replay
+        (``plan_arena`` set) the arena serves the take from its retained
+        cache when it can.
         """
         arena = self.plan_arena
         if arena is not None:
@@ -416,8 +411,7 @@ def _op_trsv(ctx: ExecContext, s: int, fc: int, lc: int,
     mat = diag if lower else diag.T
     sl = ctx.rhs[fc : lc + 1]
     for c in range(sl.shape[1]):
-        sl[:, c] = la.solve_triangular(
-            mat, sl[:, c], lower=lower, check_finite=False)
+        sl[:, c] = kd.trsv(mat, sl[:, c], lower)
 
 
 def _op_gemv_fwd(ctx: ExecContext, s: int, bi: int, rows: np.ndarray,
@@ -449,16 +443,6 @@ KERNEL_OPS = {
     "gemv_fwd": _op_gemv_fwd,
     "gemv_bwd": _op_gemv_bwd,
 }
-
-# Solve-graph kernels read and write overlapping slices of the one shared
-# rhs buffer; the per-buffer ordering argument the wave path relies on
-# does not hold there, so graphs containing them always flush serially.
-_RHS_OPS = frozenset({"trsv", "gemv_fwd", "gemv_bwd"})
-# In-place kernels that rewrite whole factor buffers (run as pool jobs).
-_WHOLE_OPS = frozenset({"potrf_diag", "trsm_block", "panel_factor",
-                        "frontal"})
-# Aggregate applies: pure subtractions deferred into the scatter queues.
-_DEFERRED_OPS = frozenset({"apply_panel", "axpy_sub"})
 
 
 # --------------------------------------------------------- batch handlers
@@ -583,9 +567,8 @@ class ExecutorStats:
     """Batching effectiveness counters of one :class:`KernelExecutor`."""
 
     calls: int = 0          # kernel calls executed
-    batches: int = 0        # handler/job invocations (groups of calls)
+    batches: int = 0        # handler invocations (groups of calls)
     stacked: int = 0        # calls executed through a stacked-product batch
-    waves: int = 0          # dependency waves executed by the parallel path
     flush_seconds: float = 0.0  # wall-clock spent inside flush()
 
 
@@ -596,18 +579,14 @@ class KernelExecutor:
     (recording per-op trace counters and the task's dependency wave) and
     :meth:`flush`es once the run completes.
 
-    ``parallelism=1`` (default) executes in submission order with maximal
-    runs of consecutive same-op calls handed to a batch handler.
-    ``parallelism>1`` executes wave by wave on a thread pool (see the
-    module docstring for the bit-identical ordering discipline).
-    ``batching=False`` disables batching entirely — the one-at-a-time
-    reference path used by the determinism property tests.
+    A flush executes in submission order with maximal runs of consecutive
+    same-op calls handed to a batch handler — the only execution mode.
+    :meth:`run_one` over the per-op :data:`KERNEL_OPS` handlers is the
+    one-at-a-time reference the determinism property tests compare it to.
     """
 
     def __init__(self, context: ExecContext | None = None,
                  trace: Any = None,
-                 parallelism: int = 1, batching: bool = True,
-                 use_threads: bool | None = None,
                  canonical: bool = False,
                  flush_hook: Callable[
                      ["KernelExecutor",
@@ -615,20 +594,10 @@ class KernelExecutor:
                      None] | None = None) -> None:
         self.context = context if context is not None else ExecContext()
         self.trace = trace
-        self.parallelism = max(1, int(parallelism))
-        self.batching = batching
         # Observer of every flush: called with (executor, pending) before
         # execution, where pending is the raw (call, wave) stream.  The
         # wave conflict verifier attaches here (session ``check_waves``).
         self.flush_hook = flush_hook
-        # None = auto: a real thread pool only helps when more than one
-        # CPU can actually run a job concurrently (BLAS releases the GIL);
-        # on a single usable core the wave path keeps its wave-wide
-        # batching but runs jobs inline.  Tests force True to exercise
-        # the threaded path regardless of the host.
-        if use_threads is None:
-            use_threads = min(self.parallelism, _usable_cpus()) > 1
-        self.use_threads = use_threads
         # Canonical mode re-sorts each flushed stream by (wave, order_key)
         # — both timing-independent (DAG depth, task build index) — so the
         # executed order is a pure function of the task graph.  Resilient
@@ -647,7 +616,8 @@ class KernelExecutor:
 
         ``wave`` is the task's dependency depth in the DAG (0 for roots).
         Submitters that do not track waves (tests, direct replays) leave
-        it ``None``, which routes the flush down the serial path.
+        it ``None`` (execution order never depends on it outside
+        canonical mode and checkpoint cuts).
         ``order_key`` is a timing-independent tiebreaker within a wave
         (the engine passes the task id); only canonical mode reads it.
         """
@@ -675,7 +645,7 @@ class KernelExecutor:
         return [pending[i] for i in idx]
 
     def flush(self) -> None:
-        """Execute all pending kernels; bit-identical for every mode."""
+        """Execute all pending kernels in (canonical) submission order."""
         pending, self._pending = self._pending, []
         keys, self._order = self._order, []
         if not pending:
@@ -725,9 +695,9 @@ class KernelExecutor:
         The compiled-plan replay path (:mod:`repro.plans`): the stream is
         executed exactly as a flush of the same pending list would be —
         the flush hook observes it first (so the wave conflict verifier
-        covers plan streams too), then the serial or wave path runs per
-        this executor's configuration.  Nothing may be pending: plans
-        replace submission, they do not interleave with it.
+        covers plan streams too), then the batched flush runs.  Nothing
+        may be pending: plans replace submission, they do not interleave
+        with it.
         """
         if self._pending:
             raise RuntimeError(
@@ -743,20 +713,13 @@ class KernelExecutor:
     def _execute(self, pending: list[tuple[KernelCall, int | None]]) -> None:
         t0 = time.perf_counter()
         try:
-            if (self.parallelism > 1 and self.batching
-                    and all(w is not None for _, w in pending)
-                    and not any(c.op in _RHS_OPS for c, _ in pending)):
-                self._flush_waves(pending)
-            else:
-                self._flush_serial([c for c, _ in pending])
+            self._flush_serial([c for c, _ in pending])
         finally:
             self.stats.flush_seconds += time.perf_counter() - t0
 
     def run_one(self, call: KernelCall) -> None:
-        """Execute a single call immediately (testing convenience)."""
+        """Execute a single call immediately: the unbatched reference."""
         KERNEL_OPS[call.op](self.context, *call.args)
-
-    # ------------------------------------------------------- serial path
 
     def _flush_serial(self, pending: list[KernelCall]) -> None:
         """Submission order, with consecutive same-op runs batched."""
@@ -766,13 +729,12 @@ class KernelExecutor:
         while i < n:
             op = pending[i].op
             j = i + 1
-            if self.batching:
-                while j < n and pending[j].op == op:
-                    j += 1
+            while j < n and pending[j].op == op:
+                j += 1
             batch = pending[i:j]
             self.stats.calls += len(batch)
             self.stats.batches += 1
-            handler = _BATCH_OPS.get(op) if self.batching else None
+            handler = _BATCH_OPS.get(op)
             if handler is not None and len(batch) > 1:
                 self.stats.stacked += handler(ctx, batch)
             else:
@@ -780,373 +742,3 @@ class KernelExecutor:
                 for call in batch:
                     fn(ctx, *call.args)
             i = j
-
-    # --------------------------------------------------- wave-parallel path
-    #
-    # Correctness sketch.  Waves are DAG depths, so calls sharing a wave
-    # are mutually independent: their products/whole-kernels may run
-    # concurrently and in any order.  Every scatter-add (and aggregate
-    # apply) is *deferred* into a queue keyed by its precise target
-    # buffer.  A buffer's queue is drained — entries applied in original
-    # submission-index order — at the start of the first wave containing
-    # a kernel that reads or rewrites that buffer.  In every factor graph
-    # all adds into a buffer precede its first reader in the DAG, so the
-    # whole queue is present at drain time and the per-buffer apply order
-    # equals the serial path's submission order exactly.  Panels and their
-    # block views alias, so draining a ("panel", s) or ("blk", s, _) key
-    # merges all queues of supernode s's panel memory before sorting.
-
-    def _flush_waves(self, pending: list[tuple[KernelCall, int]]) -> None:
-        ctx = self.context
-        stats = self.stats
-        n = len(pending)
-        stats.calls += n
-        buckets: dict[int, list[int]] = {}
-        for i, (_call, wave) in enumerate(pending):
-            buckets.setdefault(wave, []).append(i)
-
-        queues: dict[tuple, list[tuple]] = {}
-        panel_members: dict[int, set] = {}  # s -> blk keys with live queues
-
-        def enqueue(key: tuple, entry: tuple) -> None:
-            queues.setdefault(key, []).append(entry)
-            if key[0] == "blk":
-                panel_members.setdefault(key[1], set()).add(key)
-
-        def drain(keys: Iterable[tuple]) -> None:
-            if not queues:
-                return
-            merged: list[tuple] = []
-            seen: set = set()
-            stack = list(keys)
-            for key in stack:  # grows while iterating: overlap closure
-                if key in seen:
-                    continue
-                seen.add(key)
-                if key[0] == "panel":
-                    stack.extend(panel_members.get(key[1], ()))
-                elif key[0] == "blk":
-                    stack.append(("panel", key[1]))
-                q = queues.pop(key, None)
-                if q:
-                    merged.extend(q)
-            if not merged:
-                return
-            # Entries are (submission index, intra-call seq, ...) tuples
-            # whose first two fields are unique, so a plain tuple sort
-            # recovers the serial apply order without touching the rest.
-            merged.sort()
-            for _sub, _seq, tgt, kind, x in merged:
-                if kind == 0:    # scatter-add: x = (flat, signed product)
-                    _flat_view(tgt)[x[0]] += x[1]
-                else:            # deferred aggregate subtract: x = source
-                    tgt[:, :] -= x
-
-        pool_cls = (
-            (lambda: ThreadPoolExecutor(max_workers=self.parallelism))
-            if self.use_threads else _InlinePool)
-        with pool_cls() as pool:
-            for wave in sorted(buckets):
-                stats.waves += 1
-                self._run_wave(buckets[wave], pending, pool, enqueue, drain)
-        for key in list(queues):
-            drain((key,))
-
-    def _run_wave(self, chunk: list[int],
-                  pending: list[tuple[KernelCall, int]], pool: Any,
-                  enqueue: Callable[[tuple, tuple], None],
-                  drain: Callable[[Iterable[tuple]], None]) -> None:
-        ctx = self.context
-        drain_keys: list[tuple] = []
-        syrk: list[int] = []
-        gemm: list[int] = []
-        multi: list[int] = []
-        potrf: list[int] = []
-        whole: list[int] = []
-        deferred: list[int] = []
-        for idx in chunk:
-            call = pending[idx][0]
-            op = call.op
-            if op == "noop":
-                self.stats.batches += 1
-                continue
-            if op == "potrf_diag":
-                drain_keys.append(("diag", call.args[0]))
-                potrf.append(idx)
-            elif op == "syrk_sub":
-                drain_keys.append(call.args[1])
-                syrk.append(idx)
-            elif op == "gemm_sub":
-                drain_keys.append(call.args[1])
-                drain_keys.append(call.args[2])
-                gemm.append(idx)
-            elif op == "multi_update":
-                for act in call.args[0]:
-                    drain_keys.append(act[2])
-                    if act[3] is not None:
-                        drain_keys.append(act[3])
-                multi.append(idx)
-            elif op in _DEFERRED_OPS:
-                drain_keys.append(call.args[1])
-                deferred.append(idx)
-            elif op in _WHOLE_OPS:
-                drain_keys.extend(_whole_buffers(call))
-                whole.append(idx)
-            else:
-                raise KeyError(f"op {op!r} not supported by the wave path")
-        drain(drain_keys)
-
-        # Aggregate applies carry no product work: enqueue the deferred
-        # subtraction directly (the aggregate is final — its own queue was
-        # just drained and nothing writes it in later waves).
-        for idx in deferred:
-            call = pending[idx][0]
-            if call.op == "axpy_sub":
-                tgt_ref, agg_ref = call.args
-                enqueue(tgt_ref, (idx, 0, ctx.resolve(tgt_ref), 1,
-                                  ctx.resolve(agg_ref)))
-            else:  # apply_panel
-                t, agg_ref = call.args
-                agg = ctx.resolve(agg_ref)
-                diag = ctx.storage.diag_block(t)
-                w = diag.shape[0]
-                enqueue(("diag", t), (idx, 0, diag, 1, agg[:w]))
-                panel = ctx.storage.panels[t]
-                if panel.shape[0]:
-                    enqueue(("panel", t), (idx, 1, panel, 1, agg[w:]))
-
-        futures = []
-        par = self.parallelism
-        futures += self._spawn_potrf(pool, pending, potrf)
-        futures += self._spawn_syrk(pool, pending, syrk)
-        futures += self._spawn_gemm(pool, pending, gemm)
-        for idxs in _split_chunks(multi, par):
-            self.stats.batches += 1
-            futures.append(pool.submit(
-                self._job_multi, ctx,
-                [(idx, pending[idx][0].args[0]) for idx in idxs]))
-        for idxs in _split_chunks(whole, par):
-            self.stats.batches += 1
-            futures.append(pool.submit(
-                self._job_whole, ctx, [pending[idx][0] for idx in idxs]))
-
-        for fut in futures:
-            for key, entry in fut.result():
-                enqueue(key, entry)
-
-    def _spawn_potrf(self, pool: Any,
-                     pending: list[tuple[KernelCall, int]],
-                     idxs: list[int]) -> list[Any]:
-        """Wave-wide batched diagonal factorizations (Cholesky gufunc).
-
-        A wave's ``potrf_diag`` calls target distinct diag buffers that
-        nothing else in the wave touches (they'd be dependent otherwise),
-        so the in-place write-back may happen inside the pool job.
-        """
-        if not idxs:
-            return []
-        storage = self.context.storage
-        pos_of = storage.diag_pos
-        by_width: dict[int, list[int]] = {}
-        for idx in idxs:
-            w, i = pos_of[pending[idx][0].args[0]]
-            by_width.setdefault(w, []).append(i)
-        futures = []
-        for w, pos in by_width.items():
-            self.stats.batches += 1
-            if len(pos) > 1:
-                self.stats.stacked += len(pos)
-            futures.append(pool.submit(
-                self._job_potrf_group, storage.diag_pool[w], pos))
-        return futures
-
-    def _spawn_syrk(self, pool: Any,
-                    pending: list[tuple[KernelCall, int]],
-                    idxs: list[int]) -> list[Any]:
-        if not idxs:
-            return []
-        ctx = self.context
-        groups: dict[tuple, list] = {}
-        singles = []
-        for idx in idxs:
-            tgt_ref, a_ref, flat, sign = pending[idx][0].args
-            a = ctx.resolve(a_ref)
-            item = (idx, ctx.resolve(tgt_ref), tgt_ref, flat, a)
-            groups.setdefault((a.shape, sign), []).append(item)
-        futures = []
-        for (_shape, sign), items in groups.items():
-            if _stack_worthwhile(len(items), items[0][4].size):
-                self.stats.stacked += len(items)
-                self.stats.batches += 1
-                futures.append(pool.submit(self._job_syrk_stack, items, sign))
-            else:
-                singles.extend((it, sign) for it in items)
-        for pairs in _split_chunks(singles, self.parallelism):
-            self.stats.batches += 1
-            futures.append(pool.submit(self._job_syrk_single, pairs))
-        return futures
-
-    def _spawn_gemm(self, pool: Any,
-                    pending: list[tuple[KernelCall, int]],
-                    idxs: list[int]) -> list[Any]:
-        if not idxs:
-            return []
-        ctx = self.context
-        groups: dict[tuple, list] = {}
-        singles = []
-        for idx in idxs:
-            tgt_ref, a_ref, b_ref, flat, sign = pending[idx][0].args
-            a = ctx.resolve(a_ref)
-            b = ctx.resolve(b_ref)
-            item = (idx, ctx.resolve(tgt_ref), tgt_ref, flat, a, b)
-            groups.setdefault((a.shape, b.shape, sign), []).append(item)
-        futures = []
-        for (_sa, _sb, sign), items in groups.items():
-            if _stack_worthwhile(len(items), items[0][4].size):
-                self.stats.stacked += len(items)
-                self.stats.batches += 1
-                futures.append(pool.submit(self._job_gemm_stack, items, sign))
-            else:
-                singles.extend((it, sign) for it in items)
-        for pairs in _split_chunks(singles, self.parallelism):
-            self.stats.batches += 1
-            futures.append(pool.submit(self._job_gemm_single, pairs))
-        return futures
-
-    # Pool jobs compute products only; every mutation of shared factor
-    # state flows back through the coordinator's queues (except _WHOLE_OPS
-    # kernels, whose in-place writes are wave-disjoint by construction).
-    # The sign multiply and the ravel are applied to the whole stack in
-    # one numpy call each; per-item rows of the 2-D result are views, so
-    # per-call numpy overhead stays O(1) per stacked group.
-
-    @staticmethod
-    def _job_potrf_group(pool: np.ndarray, pos: list[int]) -> tuple:
-        _potrf_group(pool, pos)
-        return ()
-
-    @staticmethod
-    def _job_syrk_stack(items: list[tuple], sign: float) -> list[tuple]:
-        a_stack = np.stack([it[4] for it in items])
-        prods = np.matmul(a_stack, a_stack.transpose(0, 2, 1))
-        if sign != 1.0:
-            prods *= sign
-        rows = prods.reshape(len(items), -1)
-        return [(it[2], (it[0], 0, it[1], 0, (it[3], rows[k])))
-                for k, it in enumerate(items)]
-
-    @staticmethod
-    def _job_syrk_single(pairs: list[tuple]) -> list[tuple]:
-        out = []
-        for it, sign in pairs:
-            prod = kd.syrk_lower(it[4])
-            if sign != 1.0:
-                prod *= sign
-            out.append((it[2], (it[0], 0, it[1], 0,
-                                (it[3], prod.reshape(-1)))))
-        return out
-
-    @staticmethod
-    def _job_gemm_stack(items: list[tuple], sign: float) -> list[tuple]:
-        a_stack = np.stack([it[4] for it in items])
-        b_stack = np.stack([it[5] for it in items])
-        prods = np.matmul(a_stack, b_stack.transpose(0, 2, 1))
-        if sign != 1.0:
-            prods *= sign
-        rows = prods.reshape(len(items), -1)
-        return [(it[2], (it[0], 0, it[1], 0, (it[3], rows[k])))
-                for k, it in enumerate(items)]
-
-    @staticmethod
-    def _job_gemm_single(pairs: list[tuple]) -> list[tuple]:
-        out = []
-        for it, sign in pairs:
-            prod = kd.gemm_nt(it[4], it[5])
-            if sign != 1.0:
-                prod *= sign
-            out.append((it[2], (it[0], 0, it[1], 0,
-                                (it[3], prod.reshape(-1)))))
-        return out
-
-    @staticmethod
-    def _job_multi(ctx: ExecContext, calls: list[tuple]) -> list[tuple]:
-        out = []
-        for idx, actions in calls:
-            for seq, (kind, tgt_ref, a_ref, b_ref, flat, sign) in enumerate(
-                    actions):
-                if kind == "syrk":
-                    prod = kd.syrk_lower(ctx.resolve(a_ref))
-                else:
-                    prod = kd.gemm_nt(ctx.resolve(a_ref), ctx.resolve(b_ref))
-                out.append((tgt_ref, (idx, seq, ctx.resolve(tgt_ref), 0,
-                                      (flat, (sign * prod).reshape(-1)))))
-        return out
-
-    @staticmethod
-    def _job_whole(ctx: ExecContext, calls: list[KernelCall]) -> tuple:
-        for call in calls:
-            KERNEL_OPS[call.op](ctx, *call.args)
-        return ()
-
-
-def _whole_buffers(call: KernelCall) -> list[tuple]:
-    """Factor buffers a whole-kernel reads or rewrites (drain triggers)."""
-    op = call.op
-    if op == "potrf_diag":
-        return [("diag", call.args[0])]
-    if op == "trsm_block":
-        s, bi = call.args
-        return [("diag", s), ("blk", s, bi)]
-    if op == "panel_factor":
-        s = call.args[0]
-        return [("diag", s), ("panel", s)]
-    # frontal: assembles from A + transient contribs (never queued) and
-    # rewrites its own diag/panel wholesale.
-    s = call.args[0]
-    return [("diag", s), ("panel", s)]
-
-
-class _InlinePool:
-    """Drop-in for ``ThreadPoolExecutor`` that runs jobs at submit time.
-
-    Used when only one CPU is usable: thread hand-offs cannot overlap any
-    compute there, so the wave path keeps its wave-wide batching (the part
-    that pays) and skips the pool round-trips (the part that doesn't).
-    Job order is submission order; results are identical either way
-    because scatter entries are re-sorted at drain time and whole-kernel
-    writes are wave-disjoint.
-    """
-
-    class _Done:
-        __slots__ = ("_value",)
-
-        def __init__(self, value: Any) -> None:
-            self._value = value
-
-        def result(self) -> Any:
-            return self._value
-
-    def submit(self, fn: Callable, *args: Any) -> "_InlinePool._Done":
-        return self._Done(fn(*args))
-
-    def __enter__(self) -> "_InlinePool":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity masks
-        return os.cpu_count() or 1
-
-
-def _split_chunks(items: list, k: int) -> list[list]:
-    """Split ``items`` into at most ``k`` similarly-sized job chunks."""
-    if not items:
-        return []
-    k = max(1, min(k, len(items)))
-    size = -(-len(items) // k)
-    return [items[i:i + size] for i in range(0, len(items), size)]

@@ -15,14 +15,13 @@ update stacks, solve right-hand sides — is taken from a
 Bit-identity contract: ``take(..., zero=True)`` returns an array whose
 contents equal ``np.zeros(shape)`` whether it came from the allocator or
 the free list, so pooling changes buffer *placement*, never values — the
-serial == batched == waves determinism suite holds unchanged on pooled
+batched-flush == one-at-a-time determinism suite holds unchanged on pooled
 storage.
 
 Cached (free-listed) arrays are **not** live: ``give()`` releases the
 ledger charge, so "live bytes return to zero after close" holds even
 while the pool retains memory for reuse.  Thread safety mirrors the
-ledger's (wave-parallel frontal kernels take/release buffers from pool
-worker threads).
+ledger's (service worker threads share one pool across tenants).
 """
 
 from __future__ import annotations

@@ -7,15 +7,15 @@ See :mod:`repro.plans.plan` for the design.  Public surface:
 * :func:`compile_plan` / :func:`compile_stream` — the compile pass
   (fusion + interning);
 * :class:`StreamRecorder` — flush-stream capture during a DES run;
-* :func:`execute_plan` — run a plan through the wave-parallel executor;
+  a plan is replayed by handing its frozen stream to
+  :meth:`~repro.kernels.dispatch.KernelExecutor.execute_stream`;
 * :class:`PlanArena` — retained kernel-buffer cache making warm replays
   allocation-free.
 """
 
 from .arena import PlanArena
-from .executor import execute_plan
 from .plan import NumericPlan, PlanStats, compile_plan, compile_stream
 from .recorder import StreamRecorder
 
 __all__ = ["NumericPlan", "PlanStats", "PlanArena", "StreamRecorder",
-           "compile_plan", "compile_stream", "execute_plan"]
+           "compile_plan", "compile_stream"]

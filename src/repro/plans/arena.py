@@ -5,7 +5,8 @@ The :class:`~repro.memory.BufferPool` charges its ledger on *every*
 event the accounting must see.  Compiled-plan replays have a stronger
 invariant available: the plan's kernel-held buffer demand (multifrontal
 fronts, Schur updates) is **identical on every replay**, because the
-replay executes a frozen stream.  A :class:`PlanArena` exploits that by
+replay executes a frozen stream in one fixed order — the demand is a
+pure function of the stream.  A :class:`PlanArena` exploits that by
 retaining the buffers between replays: the first replay faults them in
 from the pool (charged once, like any run), and every later replay
 serves the same shapes from the arena cache with *zero* pool takes and
@@ -16,7 +17,7 @@ Arena-cached arrays stay ledger-charged (they are retained, not free),
 so live-byte truth is preserved; :meth:`retire` drains everything back
 to the pool when the owning solver closes, returning the ledger to its
 pre-plan level.  Thread-safe via :func:`repro.core.tracing.mutex` —
-wave-parallel frontal kernels take and give from pool worker threads.
+service worker threads may replay and retire solvers sharing one pool.
 """
 
 from __future__ import annotations

@@ -16,11 +16,8 @@ its numerics:
 * **fusion** — maximal runs of consecutive same-wave, same-target
   ``syrk_sub``/``gemm_sub`` scatter calls collapse into one
   ``multi_update`` group.  The group executes its actions in the
-  original submission order (serial path), and on the wave path its
-  queue entries carry ``(submission index, intra-group seq)`` keys that
-  sort back into exactly the unfused per-buffer apply order — fused
-  members were *consecutive*, so no other entry for the same buffer can
-  fall between them;
+  original submission order, and fused members were *consecutive*, so
+  no other entry for the same buffer can fall between them;
 * **interning** — operand reference tuples and flat scatter-index
   arrays repeated across the stream are deduplicated by value, shrinking
   the plan's resident footprint and improving cache locality of the
@@ -76,8 +73,8 @@ class NumericPlan:
         recorded run computed.
     stream:
         The executable ``(KernelCall, wave)`` stream, post fusion and
-        interning.  Waves are the recording engine's DAG depths, so the
-        wave-parallel executor path applies unchanged.
+        interning.  Waves are the recording engine's DAG depths, kept
+        so the wave conflict verifier covers plan streams too.
     calls:
         Calls in the *source* stream (pre-fusion).
     wave_count:

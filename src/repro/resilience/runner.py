@@ -83,7 +83,6 @@ def run_resilient(session: ExecutionSession,
         engine = FanOutEngine(
             world, graph, session.offload,
             scheduling=session.scheduling, trace=session.trace,
-            parallelism=session.parallelism, batching=session.batching,
             flush_hook=session._flush_hook,
             canonical=res.canonical_flush,
             checkpointer=checkpointer, resume=resume,

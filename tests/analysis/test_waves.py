@@ -21,35 +21,27 @@ def _syrk(tgt, flat):
                                    np.asarray(flat, dtype=np.int64), -1.0))
 
 
-class TestPathGate:
-    def test_serial_parallelism_never_checked(self):
-        pending = [(_potrf(0), 0), (_potrf(0), 0)]  # would be WAVE001
-        assert verify_flush(pending, _ctx(), parallelism=1) == []
-
-    def test_missing_wave_forces_serial(self):
+class TestStreamGate:
+    def test_missing_wave_never_checked(self):
         pending = [(_potrf(0), 0), (_potrf(0), None)]
-        assert not is_wave_parallel(pending, parallelism=4, batching=True)
-        assert verify_flush(pending, _ctx(), parallelism=4) == []
+        assert not is_wave_parallel(pending)
+        assert verify_flush(pending, _ctx()) == []
 
-    def test_rhs_ops_force_serial(self):
+    def test_rhs_ops_never_checked(self):
         pending = [(KernelCall("trsv", (0, 0, 1, True)), 0),
                    (_potrf(0), 0)]
-        assert not is_wave_parallel(pending, parallelism=4, batching=True)
-        assert verify_flush(pending, _ctx(), parallelism=4) == []
-
-    def test_batching_off_forces_serial(self):
-        pending = [(_potrf(0), 0)]
-        assert not is_wave_parallel(pending, parallelism=4, batching=False)
+        assert not is_wave_parallel(pending)
+        assert verify_flush(pending, _ctx()) == []
 
 
 class TestImmediatePairs:
     def test_distinct_buffers_clean(self):
         pending = [(_potrf(0), 0), (_potrf(1), 0), (_potrf(2), 1)]
-        assert verify_flush(pending, _ctx(), parallelism=4) == []
+        assert verify_flush(pending, _ctx()) == []
 
     def test_same_wave_overlap_is_wave001(self):
         pending = [(_potrf(3), 1), (_potrf(3), 1)]
-        findings = verify_flush(pending, _ctx(), parallelism=4)
+        findings = verify_flush(pending, _ctx())
         assert [f.rule for f in findings] == ["WAVE001"]
         f = findings[0]
         assert f.details["buffer"] == ("diag", 3)
@@ -59,48 +51,47 @@ class TestImmediatePairs:
     def test_wave_order_inversion_is_wave002(self):
         # Submitted second but scheduled in an earlier wave.
         pending = [(_potrf(3), 2), (_potrf(3), 1)]
-        findings = verify_flush(pending, _ctx(), parallelism=4)
+        findings = verify_flush(pending, _ctx())
         assert [f.rule for f in findings] == ["WAVE002"]
 
     def test_consistent_cross_wave_order_clean(self):
         pending = [(_potrf(3), 0), (_potrf(3), 1)]
-        assert verify_flush(pending, _ctx(), parallelism=4) == []
+        assert verify_flush(pending, _ctx()) == []
 
 
 class TestDeferredPairs:
     def test_scatter_before_consumer_clean(self):
         # Scatter-add into diag 0 (wave 0), potrf consumes it in wave 1:
-        # the queue drains at wave 1's start, matching submission order.
+        # wave order matches submission order.
         pending = [(_syrk(("diag", 0), [0, 1]), 0), (_potrf(0), 1)]
-        assert verify_flush(pending, _ctx(), parallelism=4) == []
+        assert verify_flush(pending, _ctx()) == []
 
     def test_scatter_sharing_consumer_wave_is_wave003(self):
         # Scatter submitted first but assigned the consumer's own wave:
-        # the queue drains only at the start of a strictly later wave, so
-        # the add would land after the potrf — against submission order.
+        # the waves do not order the add before the potrf that reads it.
         pending = [(_syrk(("diag", 0), [0]), 1), (_potrf(0), 1)]
-        findings = verify_flush(pending, _ctx(), parallelism=4)
+        findings = verify_flush(pending, _ctx())
         assert [f.rule for f in findings] == ["WAVE003"]
 
     def test_scatter_scheduled_early_is_wave003(self):
-        # Submitted after the potrf but scheduled in an earlier wave: the
-        # drain preceding wave 1 applies it first, inverting the order.
+        # Submitted after the potrf but scheduled in an earlier wave:
+        # a wave re-sort would apply it first, inverting the order.
         pending = [(_potrf(0), 1), (_syrk(("diag", 0), [0]), 0)]
-        findings = verify_flush(pending, _ctx(), parallelism=4)
+        findings = verify_flush(pending, _ctx())
         assert [f.rule for f in findings] == ["WAVE003"]
 
     def test_disjoint_scatters_clean(self):
-        # Deferred-deferred pairs are ordered by the queues themselves.
+        # Accumulate-accumulate pairs need no wave ordering of their own.
         pending = [(_syrk(("diag", 0), [0, 1]), 0),
                    (_syrk(("diag", 0), [0, 1]), 0),
                    (_potrf(0), 1)]
-        assert verify_flush(pending, _ctx(), parallelism=4) == []
+        assert verify_flush(pending, _ctx()) == []
 
     def test_exact_scatter_indices_used(self):
         # The report pinpoints the scatter's flat indices [5, 7), not the
         # whole buffer: overlap with the potrf write is bytes [40, 56).
         pending = [(_syrk(("diag", 0), [5, 6]), 1), (_potrf(0), 1)]
-        findings = verify_flush(pending, _ctx(), parallelism=4)
+        findings = verify_flush(pending, _ctx())
         assert findings and findings[0].details["elem_range"] == (5, 7)
         assert findings[0].details["byte_range"] == (40, 56)
 

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import solve_triangular
+
 from repro.kernels import gemm_nt, potrf, syrk_lower, trsm_right_lower_trans
+from repro.kernels.dense import trsv
 from repro.sparse import NotPositiveDefiniteError
 
 
@@ -48,6 +51,34 @@ class TestTrsm:
     def test_identity_diag(self, rng):
         b = rng.standard_normal((6, 3))
         assert np.allclose(trsm_right_lower_trans(b, np.eye(3)), b)
+
+
+class TestTrsv:
+    @pytest.mark.parametrize("w", [1, 2, 5, 17, 64])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bit_identical_to_solve_triangular(self, rng, w, layout):
+        """Same bits as the SciPy wrapper for every operand layout the
+        solve sweeps hand it (diag block / its transpose, strided rhs
+        column)."""
+        l = potrf(spd(w, seed=w))
+        if layout == "F":
+            l = np.asfortranarray(l)
+        elif layout == "strided":
+            big = np.zeros((w + 3, w + 5))
+            big[1 : w + 1, 2 : w + 2] = l
+            l = big[1 : w + 1, 2 : w + 2]
+        rhs = rng.standard_normal((w, 3))
+        for mat, lower in ((l, True), (l.T, False)):
+            for c in range(rhs.shape[1]):
+                ref = solve_triangular(mat, rhs[:, c], lower=lower,
+                                       check_finite=False)
+                got = trsv(mat, rhs[:, c], lower)
+                assert got.shape == ref.shape
+                assert np.array_equal(got, ref)
+
+    def test_raises_on_singular(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            trsv(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2), True)
 
 
 class TestSyrk:

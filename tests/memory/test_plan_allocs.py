@@ -43,8 +43,7 @@ def _shifted(a: SymmetricCSC, shift: float) -> SymmetricCSC:
 def test_warm_replay_zero_allocator_growth(solver_cls, options_cls):
     """Replays after the first warm run: alloc delta == take delta == 0."""
     a = random_spd(60, density=0.15, seed=3)
-    solver = solver_cls(a, options_cls(nranks=2, parallelism=4,
-                                       plan_mode="on"))
+    solver = solver_cls(a, options_cls(nranks=2, plan_mode="on"))
     solver.factorize()                      # record + compile
     solver.update_values(_shifted(a, 0.2))
     solver.factorize()                      # warm run 1: arena faults in
@@ -62,8 +61,7 @@ def test_warm_replay_zero_allocator_growth(solver_cls, options_cls):
 def test_warm_solve_zero_allocator_growth():
     """Warm solve replays of a seen rhs width allocate nothing new."""
     a = random_spd(60, density=0.15, seed=3)
-    solver = SymPackSolver(a, SolverOptions(nranks=2, parallelism=4,
-                                            plan_mode="on"))
+    solver = SymPackSolver(a, SolverOptions(nranks=2, plan_mode="on"))
     solver.factorize()
     rhs = np.linspace(-1.0, 1.0, a.n * 2).reshape(a.n, 2)
     solver.solve(rhs)                       # record + compile solve plans

@@ -56,12 +56,9 @@ def _shifted(a: SymmetricCSC, shift: float) -> SymmetricCSC:
         a.lower + a.lower.T - sp.diags(a.lower.diagonal()) + shift * eye)
 
 
-def _run(solver_cls, options_cls, a, shifts, *, plan_mode, nranks,
-         parallelism=4):
+def _run(solver_cls, options_cls, a, shifts, *, plan_mode, nranks):
     """Factorize, then refactorize per shift, solving after each."""
-    solver = solver_cls(a, options_cls(nranks=nranks,
-                                       parallelism=parallelism,
-                                       plan_mode=plan_mode))
+    solver = solver_cls(a, options_cls(nranks=nranks, plan_mode=plan_mode))
     rhs = np.linspace(-1.0, 1.0, a.n * 2).reshape(a.n, 2)
     out = []
     solver.factorize()
@@ -102,9 +99,8 @@ def test_plan_replay_bit_identical_to_des(solver_cls, options_cls,
 def test_multi_rhs_solve_plans_keyed_by_width():
     """Each rhs width compiles its own solve plan pair; both replay."""
     a = MATRICES["grid"]()
-    solver = SymPackSolver(a, SolverOptions(nranks=1, parallelism=4,
-                                            plan_mode="on"))
-    ref = SymPackSolver(a, SolverOptions(nranks=1, parallelism=4))
+    solver = SymPackSolver(a, SolverOptions(nranks=1, plan_mode="on"))
+    ref = SymPackSolver(a, SolverOptions(nranks=1))
     solver.factorize()
     ref.factorize()
     for nrhs in (1, 3, 1, 3):
@@ -121,8 +117,7 @@ def test_multi_rhs_solve_plans_keyed_by_width():
 def test_close_drops_plans_and_drains_arena():
     """close() retires the plan arena; the ledger returns to zero."""
     a = MATRICES["coalesced"]()
-    solver = SymPackSolver(a, SolverOptions(nranks=1, parallelism=4,
-                                            plan_mode="on"))
+    solver = SymPackSolver(a, SolverOptions(nranks=1, plan_mode="on"))
     solver.factorize()
     solver.update_values(_shifted(a, 0.5))
     solver.factorize()  # warm: populates the arena
@@ -136,8 +131,7 @@ def test_close_drops_plans_and_drains_arena():
 def test_session_counts_plan_replays():
     """Plan replays land in the session's run accounting."""
     a = MATRICES["grid"]()
-    solver = SymPackSolver(a, SolverOptions(nranks=1, parallelism=4,
-                                            plan_mode="on"))
+    solver = SymPackSolver(a, SolverOptions(nranks=1, plan_mode="on"))
     solver.factorize()
     assert solver.session.plan_runs == 0
     solver.update_values(_shifted(a, 0.5))

@@ -1,12 +1,12 @@
-"""Bit-identity of the three flush execution modes, across all families.
+"""Bit-identity of the batched flush against one-at-a-time execution.
 
-The deferred executor promises that its three modes — serial one-at-a-time
-(``batching=False``), batched submission-order (the default), and
-wave-parallel (``parallelism > 1``) — produce **bit-identical** factors
-and solutions (``np.array_equal``, not ``allclose``).  These tests pin
-that promise for every solver family, plus the threaded wave path (which
-auto-downgrades to inline execution on single-core hosts and must still
-match when forced on).
+The deferred executor has one execution mode — submission order with
+consecutive same-op runs batched (stacked GEMM/SYRK products, batched
+diagonal factorizations) — and promises it is **bit-identical**
+(``np.array_equal``, not ``allclose``) to executing the same stream one
+call at a time through ``KernelExecutor.run_one`` over the per-op
+``KERNEL_OPS`` handlers.  These tests pin that promise for every solver
+family, on the factor and on a 2-column solution.
 """
 
 import numpy as np
@@ -52,9 +52,8 @@ MATRICES = {
 }
 
 
-def _run(solver_cls, options_cls, a, *, parallelism, batching, nranks):
-    solver = solver_cls(a, options_cls(nranks=nranks, parallelism=parallelism,
-                                       batching=batching))
+def _run(solver_cls, options_cls, a, nranks):
+    solver = solver_cls(a, options_cls(nranks=nranks))
     solver.factorize()
     factor = solver.storage.to_sparse_factor().toarray()
     rhs = np.linspace(-1.0, 1.0, a.n * 2).reshape(a.n, 2)
@@ -65,87 +64,26 @@ def _run(solver_cls, options_cls, a, *, parallelism, batching, nranks):
 @pytest.mark.parametrize("matrix_key", sorted(MATRICES))
 @pytest.mark.parametrize("solver_cls,options_cls", FAMILIES,
                          ids=lambda v: getattr(v, "__name__", None))
-def test_three_modes_bit_identical(solver_cls, options_cls, matrix_key):
-    """serial == batched == wave-parallel, to the last bit, per family."""
+def test_batched_flush_matches_run_one(solver_cls, options_cls, matrix_key,
+                                       monkeypatch):
+    """batched flush == run_one over the same stream, to the last bit."""
     a = MATRICES[matrix_key]()
     nranks = 2 if matrix_key == "sparse" else 1
-    f_serial, x_serial = _run(solver_cls, options_cls, a,
-                              parallelism=1, batching=False, nranks=nranks)
-    f_batched, x_batched = _run(solver_cls, options_cls, a,
-                                parallelism=1, batching=True, nranks=nranks)
-    f_waves, x_waves = _run(solver_cls, options_cls, a,
-                            parallelism=4, batching=True, nranks=nranks)
-    assert np.array_equal(f_serial, f_batched)
-    assert np.array_equal(x_serial, x_batched)
-    assert np.array_equal(f_serial, f_waves)
-    assert np.array_equal(x_serial, x_waves)
+    f_batched, x_batched = _run(solver_cls, options_cls, a, nranks)
 
+    executed = []
 
-def test_wave_path_threaded_matches_inline():
-    """Forcing real worker threads changes nothing, bit for bit."""
-    a = _coalesced_batch([8, 8, 12, 12, 16, 16], seed=5)
+    def one_at_a_time(self, pending):
+        for call, _wave in pending:
+            self.run_one(call)
+        executed.append(len(pending))
 
-    # Run the captured kernel stream through both pool flavours directly.
-    solver = SymPackSolver(a, SolverOptions(nranks=1, parallelism=4))
-    captured = []
-    orig = KernelExecutor.flush
-
-    def capture(self):
-        if self._pending and not captured:
-            captured.append((list(self._pending), self))
-        orig(self)
-
-    KernelExecutor.flush = capture
-    try:
-        solver.factorize()
-    finally:
-        KernelExecutor.flush = orig
-    pending, ex = captured[0]
-    storage = ex.context.storage
-
-    results = {}
-    for use_threads in (False, True):
-        storage.reset()
-        ex.context.fresh_run()
-        runner = KernelExecutor(ex.context, parallelism=4,
-                                use_threads=use_threads)
-        runner._flush_waves(pending)
-        results[use_threads] = storage.to_sparse_factor().toarray()
-    assert np.array_equal(results[False], results[True])
-
-
-def test_run_one_matches_flush_modes():
-    """One-at-a-time run_one over the stream equals every flush mode."""
-    a = _coalesced_batch([8, 10, 12], seed=11)
-    solver = SymPackSolver(a, SolverOptions(nranks=1, parallelism=4))
-    captured = []
-    orig = KernelExecutor.flush
-
-    def capture(self):
-        if self._pending and not captured:
-            captured.append((list(self._pending), self))
-        orig(self)
-
-    KernelExecutor.flush = capture
-    try:
-        solver.factorize()
-    finally:
-        KernelExecutor.flush = orig
-    pending, ex = captured[0]
-    storage = ex.context.storage
-
-    storage.reset()
-    ex.context.fresh_run()
-    runner = KernelExecutor(ex.context)
-    for call, _wave in pending:
-        runner.run_one(call)
-    one_at_a_time = storage.to_sparse_factor().toarray()
-
-    storage.reset()
-    ex.context.fresh_run()
-    KernelExecutor(ex.context, parallelism=4)._flush_waves(pending)
-    waves = storage.to_sparse_factor().toarray()
-    assert np.array_equal(one_at_a_time, waves)
+    monkeypatch.setattr(KernelExecutor, "_execute", one_at_a_time)
+    f_single, x_single = _run(solver_cls, options_cls, a, nranks)
+    # factorization + forward + backward sweeps all went through run_one
+    assert len(executed) >= 3 and all(executed)
+    assert np.array_equal(f_single, f_batched)
+    assert np.array_equal(x_single, x_batched)
 
 
 def test_scratch_array_shape_mismatch_raises():
