@@ -23,7 +23,7 @@ Lock identity resolution is type-directed but deliberately shallow:
 ``obj.X`` resolves when ``obj``'s class is known from a constructor
 assignment, a parameter annotation (including string annotations), or a
 called method's return annotation.  Unresolvable acquisitions (e.g.
-``with self._key_lock(k):`` handing out per-key locks from a dict) get a
+``with self._key_lock(k):`` handing out striped per-key locks) get a
 site-unique name: they participate as edge *sources* but can never alias
 another site, so they cannot fabricate spurious cycles.
 

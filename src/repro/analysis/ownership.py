@@ -68,11 +68,14 @@ __all__ = [
 
 # Analysed by ``python -m repro.analysis flow`` (relative to src/repro/).
 DEFAULT_OWNERSHIP_MODULES = (
+    "core/base.py",
     "core/session.py",
     "core/storage.py",
+    "kernels/dispatch.py",
     "memory/__init__.py",
     "memory/ledger.py",
     "memory/pool.py",
+    "pgas/device.py",
     "plans/arena.py",
     "service/caches.py",
     "service/service.py",

@@ -206,7 +206,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     offload = CPU_ONLY if args.no_gpu else OffloadPolicy()
     options = SolverOptions(
         nranks=args.nranks, ranks_per_node=args.ranks_per_node,
-        machine=_machine(args.machine), offload=offload)
+        machine=_machine(args.machine), offload=offload, plan_mode="on")
     config = ServiceConfig(
         workers=args.workers, queue_depth=args.queue_depth,
         factor_budget_bytes=args.budget_mb * 1024 * 1024,

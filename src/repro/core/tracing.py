@@ -12,17 +12,23 @@ counts (a lost increment would silently skew the Fig. 6 split).  Readers
 take the same lock only where they snapshot multi-step aggregates.
 
 The trace is also the export surface for service-level telemetry:
-:class:`ServiceEvent` records one request's queue wait, cache-hit tier and
-simulated makespan, appended via :meth:`ExecutionTrace.record_request`.
+:meth:`ExecutionTrace.record_request` keeps the last
+:data:`SERVICE_EVENT_RING` request records (the service's ``ServiceStats``;
+anything with a ``.tier`` works, so ``core`` does not import ``service``)
+beside exact running per-tier totals.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from typing import Any
 
-__all__ = ["OpCounters", "ExecutionTrace", "ServiceEvent", "mutex"]
+__all__ = ["OpCounters", "ExecutionTrace", "SERVICE_EVENT_RING", "mutex"]
+
+#: Request records a trace retains; older ones fall off, totals stay exact.
+SERVICE_EVENT_RING = 1024
 
 
 def mutex() -> threading.Lock:
@@ -80,63 +86,6 @@ class OpCounters:
                        if device is None or d == device)
 
 
-@dataclass(frozen=True)
-class ServiceEvent:
-    """One solve-service request as seen by the tracing layer.
-
-    Attributes
-    ----------
-    request_id:
-        Monotonic id assigned by the service at submission.
-    tier:
-        Cache-hit tier the request resolved at: ``cold`` (full symbolic +
-        numeric), ``symbolic`` (pattern known, factor rebuilt),
-        ``refactor`` (graph replayed on new values) or ``factor`` (live
-        factor reused, solve only).
-    queue_wait:
-        Wall-clock seconds between submission and a worker picking the
-        request up.
-    makespan:
-        Simulated seconds of all graph executions the request paid for
-        (factorization, if any, plus its share of the solve).
-    coalesced_width:
-        Number of right-hand sides stacked into the triangular solve this
-        request rode in (1 = not coalesced).
-    error:
-        Exception class name for a failed request (tier ``failed``),
-        empty for successes.
-    error_summary:
-        One-line traceback summary (innermost frame + message) so
-        failures are diagnosable from telemetry alone.
-    bytes_live:
-        Ledger live bytes (all accounts) when the request completed —
-        the service's resident footprint at that moment.
-    bytes_peak:
-        Ledger peak bytes at completion (monotone high-water mark).
-    failure_class:
-        Coarse failure taxonomy for failed requests: ``injected-fault``
-        (resilience watchdog), ``checkpoint-io``, ``request-error`` or
-        ``spool-error``; empty for successes.
-    retries / recoveries:
-        Trace-wide hardened-delivery retry and checkpoint-restart
-        counters at the time the event was recorded (resilience runs
-        only; 0 otherwise).
-    """
-
-    request_id: int
-    tier: str
-    queue_wait: float
-    makespan: float
-    coalesced_width: int = 1
-    error: str = ""
-    error_summary: str = ""
-    bytes_live: int = 0
-    bytes_peak: int = 0
-    failure_class: str = ""
-    retries: int = 0
-    recoveries: int = 0
-
-
 @dataclass
 class ExecutionTrace:
     """Full execution record of one simulated run (thread-safe)."""
@@ -148,7 +97,11 @@ class ExecutionTrace:
     d2h_bytes: int = 0
     timeline: list[tuple[float, float, int, str]] = field(default_factory=list)
     keep_timeline: bool = False
-    service_events: list[ServiceEvent] = field(default_factory=list)
+    # Last SERVICE_EVENT_RING request records, and the exact per-tier
+    # totals over every request ever recorded.
+    service_events: deque[Any] = field(
+        default_factory=lambda: deque(maxlen=SERVICE_EVENT_RING))
+    tier_totals: Counter[str] = field(default_factory=Counter)
     # Memory-ledger watermarks, keyed ``(rank, space)``: ``mem_live`` is
     # the latest reported live bytes, ``mem_peak`` the max ever reported
     # (sessions report after every run via :meth:`update_memory`).
@@ -160,7 +113,7 @@ class ExecutionTrace:
     # describes the most recent cold start recorded on this trace.
     phase_ms: dict[str, float] = field(default_factory=dict)
     # Resilience counters (repro.resilience): accumulated across runs by
-    # the resilient runner, exported on ServiceEvents.
+    # the resilient runner, exported on the request records.
     retries: int = 0
     recoveries: int = 0
     checkpoints: int = 0
@@ -237,16 +190,13 @@ class ExecutionTrace:
         with self._lock:
             return dict(self.mem_live), dict(self.mem_peak)
 
-    def record_request(self, event: ServiceEvent) -> None:
-        """Append one service request's telemetry."""
+    def record_request(self, event: Any) -> None:
+        """Record one service request's telemetry (duck-typed on ``.tier``)."""
         with self._lock:
             self.service_events.append(event)
+            self.tier_totals[event.tier] += 1
 
     def tier_counts(self) -> dict[str, int]:
-        """``{tier: request count}`` over the recorded service events."""
+        """``{tier: request count}`` over every request ever recorded."""
         with self._lock:
-            events = list(self.service_events)
-        out: dict[str, int] = defaultdict(int)
-        for ev in events:
-            out[ev.tier] += 1
-        return dict(out)
+            return dict(self.tier_totals)

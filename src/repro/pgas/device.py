@@ -75,6 +75,8 @@ class DeviceAllocator:
         self._sizes: dict[int, int] = {}
         self._ptrs: dict[int, GlobalPtr] = {}
 
+    # flow: transfer -- the device charge leaves with the returned pointer;
+    # free() / release_all() pay it back.
     def allocate(self, shape: tuple[int, ...],
                  dtype: np.dtype | type = np.float64) -> GlobalPtr:
         """Allocate a device buffer; raises :class:`DeviceOutOfMemory` if full."""

@@ -3,7 +3,8 @@
 All resilience errors derive from :class:`ResilienceError`, itself a
 ``RuntimeError`` subclass so they flow through the service layer's
 ``REQUEST_ERRORS`` net (``service/service.py``) and are recorded as
-failed ``ServiceEvent``s rather than crashing the server.  The CLI maps
+failed ``ServiceStats`` (their ``failure_class`` names the leaf class)
+rather than crashing the server.  The CLI maps
 the two leaf classes to distinct exit codes (``repro solve``): injected
 faults exit 3, checkpoint I/O failures exit 4.
 """

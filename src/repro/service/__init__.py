@@ -8,8 +8,8 @@ tenants:
 
 * :mod:`~repro.service.keys` — content hashes separating sparsity
   *pattern* (symbolic reuse) from numeric *values* (factor reuse);
-* :mod:`~repro.service.caches` — the pattern-keyed symbolic cache and
-  the LRU byte-budgeted factor cache;
+* :mod:`~repro.service.caches` — the LRU byte-budgeted factor cache
+  (the symbolic tier is :class:`repro.symbolic.AnalysisCache`);
 * :mod:`~repro.service.requests` — per-request stats, the bounded
   request queue with coalescing steals;
 * :mod:`~repro.service.service` — :class:`SolveService`, the worker
@@ -20,7 +20,7 @@ tenants:
 See ``docs/service.md`` for cache-tier semantics and the knobs.
 """
 
-from .caches import FactorCache, FactorEntry, SymbolicCache
+from .caches import FactorCache, FactorEntry
 from .keys import matrix_keys, pattern_key, values_key
 from .requests import RequestQueue, ServiceOverloaded, ServiceStats, SolveRequest
 from .service import ServiceConfig, ServiceCounters, SolveService
@@ -29,7 +29,6 @@ from .spool import SpoolServer, submit_request, wait_result
 __all__ = [
     "FactorCache",
     "FactorEntry",
-    "SymbolicCache",
     "matrix_keys",
     "pattern_key",
     "values_key",

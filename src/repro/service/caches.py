@@ -1,17 +1,13 @@
-"""The two cache tiers of the solve service.
+"""The factor tier of the solve service.
 
-* :class:`SymbolicCache` — pattern key → :class:`SymbolicAnalysis`.
-  Symbolic state is small (index arrays, no numeric panels) and is what
-  PEXSI-style repeated workloads amortise, so this tier is unbounded by
-  default (an optional entry cap turns it into an LRU).
-* :class:`FactorCache` — pattern key → :class:`FactorEntry` holding a
-  live, factorized solver.  Factors are the memory hog (dense supernode
-  panels), so this tier enforces a configurable *byte* budget with LRU
-  eviction and exact eviction accounting.  Evicting a factor never loses
-  symbolic work: the pattern stays in the symbolic cache, so the next
-  request on it re-enters at the ``symbolic`` tier, not ``cold``.
+:class:`FactorCache` maps pattern key → :class:`FactorEntry` holding a
+live, factorized solver.  Factors are the memory hog (dense supernode
+panels), so this tier enforces a configurable *byte* budget with LRU
+eviction and exact eviction accounting.  Evicting a factor never loses
+symbolic work: the pattern stays in the service's symbolic tier (its
+``AnalysisCache``), so its next request re-enters at ``symbolic``.
 
-Both caches are thread-safe; entry-level serialization (one worker per
+The cache is thread-safe; entry-level serialization (one worker per
 factor at a time) is the service's job via :attr:`FactorEntry.lock`.
 """
 
@@ -22,48 +18,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..memory import MemoryLedger
-from ..symbolic.analysis import SymbolicAnalysis
 
-__all__ = ["SymbolicCache", "FactorCache", "FactorEntry"]
-
-
-class SymbolicCache:
-    """Pattern-keyed cache of symbolic analyses (optionally LRU-capped)."""
-
-    def __init__(self, max_entries: int | None = None):
-        self.max_entries = max_entries
-        self._entries: OrderedDict[str, SymbolicAnalysis] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: str) -> SymbolicAnalysis | None:
-        """The cached analysis for ``key``, or ``None`` (counts the miss)."""
-        with self._lock:
-            analysis = self._entries.get(key)
-            if analysis is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return analysis
-
-    def put(self, key: str, analysis: SymbolicAnalysis) -> None:
-        """Insert ``analysis`` under ``key``, evicting LRU past the cap."""
-        with self._lock:
-            self._entries[key] = analysis
-            self._entries.move_to_end(key)
-            while (self.max_entries is not None
-                   and len(self._entries) > self.max_entries):
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+__all__ = ["FactorCache", "FactorEntry"]
 
 
 @dataclass
@@ -82,7 +38,6 @@ class FactorEntry:
     nbytes: int
     lock: threading.Lock = field(default_factory=threading.Lock,
                                  repr=False, compare=False)
-    hits: int = 0
     # Set (under ``lock``) when the service retires an evicted entry and
     # releases its solver's pooled buffers; a worker that raced the
     # eviction re-materializes instead of using the dead solver.
@@ -118,19 +73,13 @@ class FactorCache:
         self.current_bytes = 0
         self.evictions = 0
         self.bytes_evicted = 0
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: str) -> FactorEntry | None:
         """The entry for ``key`` (refreshing its LRU slot), or ``None``."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            entry.hits += 1
+            if entry is not None:
+                self._entries.move_to_end(key)
             return entry
 
     def put(self, entry: FactorEntry) -> list[FactorEntry]:
@@ -156,13 +105,6 @@ class FactorCache:
                 self.bytes_evicted += victim.nbytes
                 evicted.append(victim)
         return evicted
-
-    def account_resize(self, entry: FactorEntry, nbytes: int) -> None:
-        """Update byte accounting after an entry's factor changed size."""
-        with self._lock:
-            if entry.pattern_key in self._entries:
-                self.current_bytes += nbytes - entry.nbytes
-            entry.nbytes = nbytes
 
     def pop_all(self) -> list[FactorEntry]:
         """Remove and return every entry (service shutdown reclamation).

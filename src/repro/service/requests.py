@@ -16,7 +16,6 @@ bounded FIFO with two extras the worker pool needs:
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -34,15 +33,17 @@ class ServiceOverloaded(RuntimeError):
 
 @dataclass(frozen=True)
 class ServiceStats:
-    """Telemetry attached to one completed request.
+    """Telemetry of one request (failures included): returned with its
+    solution and recorded on the service's ``ExecutionTrace``.
 
     Attributes
     ----------
     request_id:
-        Monotonic id assigned at submission.
+        Monotonic id assigned at submission (-1: refused by the spool
+        front-end before the service saw it).
     tier:
         Cache-hit tier: ``cold`` / ``symbolic`` / ``refactor`` /
-        ``factor`` (see ``docs/service.md``).
+        ``factor`` (see ``docs/service.md``), or ``failed``.
     queue_wait:
         Wall-clock seconds spent queued before a worker picked the
         request up.
@@ -55,8 +56,8 @@ class ServiceStats:
     coalesced_width:
         Total right-hand-side columns in the stacked solve (1 = solo).
     residual:
-        Relative residual of the returned solution, or ``None`` when the
-        service was configured not to verify.
+        Relative residual of the returned solution (``None`` on a failed
+        request).
     bytes_live:
         Service memory-ledger live bytes (all ranks and spaces) when the
         request completed.
@@ -70,19 +71,34 @@ class ServiceStats:
     plan_compile_ms:
         Wall-clock milliseconds spent compiling new plans on behalf of
         this request (first-run recording cost; 0.0 on warm paths).
+    error / error_summary:
+        Exception class name and one-line innermost-frame summary of a
+        failed request; empty for successes.
+    failure_class:
+        Coarse failure taxonomy of a failed request: ``injected-fault``
+        (resilience watchdog), ``checkpoint-io``, ``request-error`` or
+        ``spool-error``; empty for successes.
+    retries / recoveries:
+        Trace-wide hardened-delivery retry and checkpoint-restart
+        counters when the record was made (resilience runs only).
     """
 
     request_id: int
     tier: str
     queue_wait: float
-    factor_seconds: float
-    solve_seconds: float
+    factor_seconds: float = 0.0
+    solve_seconds: float = 0.0
     coalesced_width: int = 1
     residual: float | None = None
     bytes_live: int = 0
     bytes_peak: int = 0
     plan_hits: int = 0
     plan_compile_ms: float = 0.0
+    error: str = ""
+    error_summary: str = ""
+    failure_class: str = ""
+    retries: int = 0
+    recoveries: int = 0
 
     @property
     def makespan(self) -> float:
@@ -122,16 +138,13 @@ class RequestQueue:
 
     def put(self, req: SolveRequest, timeout: float | None = None) -> None:
         """Enqueue ``req``; block while full, raise on timeout or close."""
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while len(self._items) >= self.maxsize and not self._closed:
-                remaining = (None if deadline is None
-                             else deadline - time.monotonic())
-                if remaining is not None and remaining <= 0:
-                    raise ServiceOverloaded(
-                        f"request queue full ({self.maxsize} pending) for "
-                        f"{timeout:.3g}s")
-                self._cond.wait(remaining)
+            if not self._cond.wait_for(
+                    lambda: len(self._items) < self.maxsize or self._closed,
+                    timeout):
+                raise ServiceOverloaded(
+                    f"request queue full ({self.maxsize} pending) for "
+                    f"{timeout:.3g}s")
             if self._closed:
                 raise RuntimeError("service is stopped; submission rejected")
             self._items.append(req)
@@ -143,16 +156,10 @@ class RequestQueue:
         Returns ``None`` when the timeout elapses with nothing pending,
         or when the queue is closed and drained.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while not self._items:
-                if self._closed:
-                    return None
-                remaining = (None if deadline is None
-                             else deadline - time.monotonic())
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._cond.wait(remaining)
+            self._cond.wait_for(lambda: self._items or self._closed, timeout)
+            if not self._items:
+                return None
             req = self._items.popleft()
             self._cond.notify_all()
             return req
@@ -188,14 +195,6 @@ class RequestQueue:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-
-    def drain(self) -> list[SolveRequest]:
-        """Remove and return every pending request (shutdown without drain)."""
-        with self._cond:
-            items = list(self._items)
-            self._items.clear()
-            self._cond.notify_all()
-        return items
 
     def __len__(self) -> int:
         with self._cond:

@@ -4,8 +4,8 @@ Layered on the execution-session stack, the service amortises every
 reusable artifact of a solve across requests:
 
 * structurally identical matrices share one symbolic analysis (ordering,
-  supernodes, Algorithm 2 blocks) through the pattern-keyed
-  :class:`~repro.service.caches.SymbolicCache`;
+  supernodes, Algorithm 2 blocks) through the service's pattern-keyed
+  :class:`~repro.symbolic.cache.AnalysisCache`;
 * numerically identical matrices share one live factor through the
   LRU-budgeted :class:`~repro.service.caches.FactorCache`; numeric-only
   changes replay the cached factorization graph
@@ -15,20 +15,14 @@ reusable artifact of a solve across requests:
   stacked into one multi-RHS triangular solve (column-deterministic
   kernels keep the results bit-identical to solo solves).
 
-Every request resolves to a **tier** recording how much work it skipped:
-
-=========  ==========================================================
-tier       work performed
-=========  ==========================================================
-cold       ordering + symbolic analysis + graph build + factorization
-symbolic   graph build + factorization (symbolic phase skipped)
-refactor   factorization via graph replay (nothing rebuilt)
-factor     triangular solve only (live factor reused)
-=========  ==========================================================
+Every request resolves to a **tier** recording how much work it skipped
+— ``cold`` / ``symbolic`` / ``refactor`` / ``factor``, tabulated in
+``docs/service.md``.
 
 All solvers created by the service share one thread-safe
 :class:`~repro.core.tracing.ExecutionTrace`; per-request telemetry is
-exported through it as :class:`~repro.core.tracing.ServiceEvent` records.
+exported through it as :class:`~repro.service.requests.ServiceStats`
+records — the same object the caller gets back with the solution.
 """
 
 from __future__ import annotations
@@ -37,20 +31,20 @@ import threading
 import time
 import traceback
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..core.base import CommonOptions, SolverBase
 from ..core.solver import SolverOptions, SymPackSolver
-from ..core.tracing import ExecutionTrace, ServiceEvent
+from ..core.tracing import ExecutionTrace
 from ..memory import BufferPool, MemoryLedger
 from ..pgas.runtime import CommStats
 from ..sparse.csc import SymmetricCSC
 from ..symbolic.cache import AnalysisCache
-from .caches import FactorCache, FactorEntry, SymbolicCache
+from .caches import FactorCache, FactorEntry
 from .keys import matrix_keys
-from .requests import RequestQueue, ServiceOverloaded, ServiceStats, SolveRequest
+from .requests import RequestQueue, ServiceStats, SolveRequest
 
 __all__ = ["ServiceConfig", "ServiceCounters", "SolveService"]
 
@@ -60,6 +54,10 @@ __all__ = ["ServiceConfig", "ServiceCounters", "SolveService"]
 # surface loudly through the future/thread, not be recorded as a
 # "failed request".
 REQUEST_ERRORS = (ValueError, KeyError, RuntimeError, np.linalg.LinAlgError)
+
+# Stripes of the per-pattern materialization lock: same key, same stripe
+# (a burst on a new pattern still analyses once), fixed lock state.
+KEY_LOCK_STRIPES = 256
 
 
 def error_summary(exc: BaseException) -> str:
@@ -100,36 +98,24 @@ class ServiceConfig:
     queue_depth:
         Bounded queue capacity; the backpressure knob.  ``submit`` blocks
         when this many requests are pending and fails with
-        :class:`~repro.service.requests.ServiceOverloaded` after
-        ``submit_timeout``.
+        :class:`~repro.service.requests.ServiceOverloaded` once its
+        per-call ``timeout`` expires.
     factor_budget_bytes:
         Memory budget of the LRU factor cache.
-    symbolic_entries:
-        Optional entry cap of the symbolic cache (``None`` = unbounded).
-    coalesce:
-        Stack pending same-factor solves into one multi-RHS solve.
     max_coalesce:
-        Ceiling on stacked right-hand-side columns per solve run.
-    submit_timeout:
-        Seconds ``submit`` waits for queue space (``None`` = forever).
-    compute_residuals:
-        Verify each returned solution with its relative residual.
+        Ceiling on right-hand-side columns stacked into one solve run
+        (1 = never coalesce).
     analysis_cache_dir:
-        Directory of a persistent :class:`~repro.symbolic.cache.\
-AnalysisCache` the symbolic tier rides on: an in-memory symbolic-cache
-        miss falls through to it before paying the cold path, and every
-        cold build is published back, so symbolic work survives evictions
-        *and* service restarts.  ``None`` (default) disables the tier.
+        Directory of the disk tier of the service's :class:`~repro.\
+symbolic.cache.AnalysisCache`: every cold build is published there, so
+        symbolic work survives service restarts as well as factor
+        evictions.  ``None`` (default) keeps the cache memory-only.
     """
 
     workers: int = 2
     queue_depth: int = 64
     factor_budget_bytes: int = 256 * 1024 * 1024
-    symbolic_entries: int | None = None
-    coalesce: bool = True
     max_coalesce: int = 8
-    submit_timeout: float | None = None
-    compute_residuals: bool = True
     analysis_cache_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -158,7 +144,6 @@ class ServiceCounters:
     plan_compile_ms: float = 0.0
     tiers: dict = field(default_factory=dict)
     queue_depth: int = 0
-    symbolic_entries: int = 0
     factor_entries: int = 0
     factor_bytes: int = 0
     evictions: int = 0
@@ -173,8 +158,8 @@ class ServiceCounters:
     bytes_peak: int = 0
     factor_bytes_ledger: int = 0
     factor_bytes_delta: int = 0
-    # Persistent analysis-cache stats (empty dict when the tier is off):
-    # mem_hits / disk_hits / misses / puts / evictions / entries.
+    # Symbolic-tier (AnalysisCache) stats: mem_hits / disk_hits / misses /
+    # puts / evictions / entries.
     analysis_cache: dict = field(default_factory=dict)
 
     def hit_rate(self) -> float:
@@ -214,28 +199,30 @@ class SolveService:
     def __init__(self, options: CommonOptions | None = None,
                  config: ServiceConfig | None = None,
                  solver_cls: type[SolverBase] = SymPackSolver):
-        self.options = options if options is not None else SolverOptions()
+        options = options if options is not None else SolverOptions()
         self.config = config if config is not None else ServiceConfig()
+        # The symbolic tier: the caller's cache if the options carry one,
+        # else the service's own.  Every solver is built against it, so
+        # SolverBase's get -> miss -> analyze -> put is its only protocol.
+        self.analysis_cache = (
+            options.analysis_cache if options.analysis_cache is not None
+            else AnalysisCache(self.config.analysis_cache_dir))
+        self.options = replace(options, analysis_cache=self.analysis_cache)
         self.solver_cls = solver_cls
         self.trace = ExecutionTrace()
-        self.comm = CommStats()
         # One ledger + pool across every tenant: factor storages, kernel
         # scratch, rhs buffers and device segments of all cached solvers
         # charge the same accounts, so cache budgeting, OOM fallbacks and
         # the counters below all read one source of byte truth.
         self.ledger = MemoryLedger()
         self.pool = BufferPool(ledger=self.ledger)
-        self.symbolic_cache = SymbolicCache(self.config.symbolic_entries)
-        # Persistent tier under the in-memory symbolic cache (optional).
-        self.analysis_cache = (
-            AnalysisCache(self.config.analysis_cache_dir)
-            if self.config.analysis_cache_dir is not None else None)
         self.factor_cache = FactorCache(self.config.factor_budget_bytes,
                                         ledger=self.ledger)
         self._queue = RequestQueue(self.config.queue_depth)
         self._threads: list[threading.Thread] = []
-        self._lock = threading.Lock()          # counters + comm + key locks
-        self._key_locks: dict[str, threading.Lock] = {}
+        self._lock = threading.Lock()          # counters + ids
+        self._key_stripes = tuple(threading.Lock()
+                                  for _ in range(KEY_LOCK_STRIPES))
         self._next_id = 0
         self._started = False
         self._stopping = False
@@ -255,14 +242,11 @@ class SolveService:
             self._threads.append(t)
         return self
 
-    def stop(self, drain: bool = True) -> None:
-        """Shut down: refuse new work, finish (or cancel) pending requests."""
+    def stop(self) -> None:
+        """Shut down: refuse new work, finish the pending requests."""
         if not self._started or self._stopping:
             return
         self._stopping = True
-        if not drain:
-            for req in self._queue.drain():
-                req.future.cancel()
         self._queue.close()
         for t in self._threads:
             t.join()
@@ -295,8 +279,8 @@ class SolveService:
         ``(x, ServiceStats)``.
 
         Blocks while the queue is at ``queue_depth``; raises
-        :class:`ServiceOverloaded` once ``timeout`` (default: the
-        config's ``submit_timeout``) expires.
+        :class:`ServiceOverloaded` once ``timeout`` seconds (``None`` =
+        wait forever) expire.
         """
         if not self._started:
             raise RuntimeError("call start() (or use the context manager) "
@@ -316,10 +300,7 @@ class SolveService:
             pattern_key=pkey, values_key=vkey, future=Future(),
             submit_time=time.monotonic(),
         )
-        self._queue.put(
-            req,
-            timeout=timeout if timeout is not None
-            else self.config.submit_timeout)
+        self._queue.put(req, timeout=timeout)
         return req.future
 
     def solve(self, a: SymmetricCSC, b: np.ndarray
@@ -332,22 +313,9 @@ class SolveService:
     def counters(self) -> ServiceCounters:
         """Consistent snapshot of the service-wide counters."""
         with self._lock:
-            snap = ServiceCounters(
-                requests_completed=self._counts.requests_completed,
-                requests_failed=self._counts.requests_failed,
-                symbolic_builds=self._counts.symbolic_builds,
-                numeric_factorizations=self._counts.numeric_factorizations,
-                refactorizations=self._counts.refactorizations,
-                solve_runs=self._counts.solve_runs,
-                coalesced_requests=self._counts.coalesced_requests,
-                plan_hits=self._counts.plan_hits,
-                plan_compiles=self._counts.plan_compiles,
-                plan_compile_ms=self._counts.plan_compile_ms,
-                comm=CommStats() + self.comm,
-            )
+            snap = replace(self._counts, comm=CommStats() + self._counts.comm)
         snap.tiers = self.trace.tier_counts()
         snap.queue_depth = len(self._queue)
-        snap.symbolic_entries = len(self.symbolic_cache)
         snap.factor_entries = len(self.factor_cache)
         snap.factor_bytes = self.factor_cache.current_bytes
         snap.evictions = self.factor_cache.evictions
@@ -356,26 +324,17 @@ class SolveService:
         snap.bytes_peak = self.ledger.peak()
         snap.factor_bytes_ledger = self.factor_cache.ledger_live() or 0
         snap.factor_bytes_delta = self.factor_cache.reconcile()
-        if self.analysis_cache is not None:
-            snap.analysis_cache = self.analysis_cache.stats()
+        snap.analysis_cache = self.analysis_cache.stats()
         return snap
 
     # ---------------------------------------------------------- worker pool
 
     def _key_lock(self, pattern_key: str) -> threading.Lock:
-        with self._lock:
-            lock = self._key_locks.get(pattern_key)
-            if lock is None:
-                lock = self._key_locks[pattern_key] = threading.Lock()
-            return lock
+        return self._key_stripes[int(pattern_key[:8], 16) % KEY_LOCK_STRIPES]
 
     def _worker_loop(self) -> None:
-        while True:
-            req = self._queue.get(timeout=0.2)
-            if req is None:
-                if self._stopping and len(self._queue) == 0:
-                    return
-                continue
+        # get() returns None once stop() closed the queue and it drained.
+        while (req := self._queue.get()) is not None:
             try:
                 self._process(req)
             except REQUEST_ERRORS as exc:  # materialization / solve failure
@@ -395,11 +354,9 @@ class SolveService:
                         # retired it while we waited on its lock; it is
                         # gone from the cache, so re-materialize.
                         continue
-                    batch = [req]
-                    if self.config.coalesce:
-                        batch += self._queue.steal_matching(
-                            req.pattern_key, req.values_key,
-                            self.config.max_coalesce - req.ncols)
+                    batch = [req] + self._queue.steal_matching(
+                        req.pattern_key, req.values_key,
+                        self.config.max_coalesce - req.ncols)
                     # Followers left the queue just now, not at leader
                     # pickup.
                     waits = [picked_up - req.submit_time]
@@ -461,7 +418,7 @@ class SolveService:
                     entry.values_key = req.values_key
                     with self._lock:
                         self._counts.refactorizations += 1
-                        self.comm += info.comm
+                        self._counts.comm += info.comm
                     plan_hits, plan_ms = self._count_plan_delta(
                         entry.solver, before)
                     return ("refactor", entry, info.simulated_seconds,
@@ -469,27 +426,14 @@ class SolveService:
             # Raced an eviction: the entry was retired between get() and
             # its lock; rebuild from the symbolic tier below.
 
-        analysis = self.symbolic_cache.get(req.pattern_key)
-        if analysis is None and self.analysis_cache is not None:
-            # The symbolic tier rides the persistent AnalysisCache: an
-            # evicted (or never-seen-by-this-process) pattern can still
-            # skip the whole cold path from disk.  Promote the hit so
-            # later requests stay in memory.
-            analysis = self.analysis_cache.get(req.a)
-            if analysis is not None:
-                self.symbolic_cache.put(req.pattern_key, analysis)
-        if analysis is not None:
+        # The constructor looks the pattern up in self.analysis_cache and
+        # publishes a cold build back; which of the two happened is the tier.
+        solver = self.solver_cls(req.a, self.options, trace=self.trace,
+                                 ledger=self.ledger, pool=self.pool)
+        if "cache_load" in solver.analysis.phase_seconds:
             tier = "symbolic"
-            solver = self.solver_cls(req.a, self.options,
-                                     analysis=analysis, trace=self.trace,
-                                     ledger=self.ledger, pool=self.pool)
         else:
             tier = "cold"
-            solver = self.solver_cls(req.a, self.options, trace=self.trace,
-                                     ledger=self.ledger, pool=self.pool)
-            self.symbolic_cache.put(req.pattern_key, solver.analysis)
-            if self.analysis_cache is not None:
-                self.analysis_cache.put(req.a, solver.analysis)
             with self._lock:
                 self._counts.symbolic_builds += 1
         before = self._plan_snapshot(solver)
@@ -501,7 +445,7 @@ class SolveService:
             self._retire(victim)
         with self._lock:
             self._counts.numeric_factorizations += 1
-            self.comm += info.comm
+            self._counts.comm += info.comm
         plan_hits, plan_ms = self._count_plan_delta(solver, before)
         return tier, entry, info.simulated_seconds, plan_hits, plan_ms
 
@@ -525,9 +469,9 @@ class SolveService:
         summary = error_summary(exc)
         counts = self.trace.resilience_counts()
         for r in batch:
-            self.trace.record_request(ServiceEvent(
+            self.trace.record_request(ServiceStats(
                 request_id=r.request_id, tier="failed",
-                queue_wait=now - r.submit_time, makespan=0.0,
+                queue_wait=now - r.submit_time,
                 error=type(exc).__name__, error_summary=summary,
                 failure_class=classify_failure(exc),
                 retries=counts["retries"], recoveries=counts["recoveries"]))
@@ -562,40 +506,33 @@ class SolveService:
         x = x.reshape(solver.a.n, -1)
         with self._lock:
             self._counts.solve_runs += 1
-            self.comm += sinfo.comm
-        # Ledger truth at completion, stamped on every member's stats and
-        # telemetry event (live = resident bytes now, peak = high-water).
+            self._counts.comm += sinfo.comm
+        # Ledger truth at completion, stamped on every member's record
+        # (live = resident bytes now, peak = high-water).
         bytes_live = self.ledger.live()
         bytes_peak = self.ledger.peak()
+        counts = self.trace.resilience_counts()
         col = 0
         for i, r in enumerate(batch):
             xs = x[:, col:col + r.ncols]
             col += r.ncols
-            residual = (solver.residual_norm(xs, r.b)
-                        if self.config.compute_residuals else None)
-            # Followers hit the factor the leader materialized.
-            r_tier = tier if i == 0 else "factor"
             stats = ServiceStats(
                 request_id=r.request_id,
-                tier=r_tier,
+                # Followers hit the factor the leader materialized.
+                tier=tier if i == 0 else "factor",
                 queue_wait=waits[i],
                 factor_seconds=factor_seconds if i == 0 else 0.0,
                 solve_seconds=sinfo.simulated_seconds,
                 coalesced_width=width,
-                residual=residual,
+                residual=solver.residual_norm(xs, r.b),
                 bytes_live=bytes_live,
                 bytes_peak=bytes_peak,
                 plan_hits=plan_hits + solve_hits if i == 0 else solve_hits,
                 plan_compile_ms=(plan_compile_ms + solve_ms if i == 0
                                  else solve_ms),
+                retries=counts["retries"], recoveries=counts["recoveries"],
             )
-            counts = self.trace.resilience_counts()
-            self.trace.record_request(ServiceEvent(
-                request_id=r.request_id, tier=r_tier,
-                queue_wait=stats.queue_wait, makespan=stats.makespan,
-                coalesced_width=width,
-                bytes_live=bytes_live, bytes_peak=bytes_peak,
-                retries=counts["retries"], recoveries=counts["recoveries"]))
+            self.trace.record_request(stats)
             with self._lock:
                 self._counts.requests_completed += 1
                 if width > r.ncols:

@@ -26,12 +26,13 @@ import json
 import os
 import time
 import uuid
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 
-from ..core.tracing import ServiceEvent
 from ..sparse import read_matrix_auto
+from .requests import ServiceStats
 from .service import (REQUEST_ERRORS, SolveService, classify_failure,
                       error_summary)
 
@@ -45,6 +46,11 @@ __all__ = ["submit_request", "wait_result", "SpoolServer"]
 
 _INBOX = "inbox"
 _DONE = "done"
+
+
+def _failure(rid: str, exc: BaseException, failure_class: str) -> dict:
+    return {"id": rid, "ok": False, "error": str(exc),
+            "error_type": type(exc).__name__, "failure_class": failure_class}
 
 
 def _ensure_layout(spool: Path) -> tuple[Path, Path]:
@@ -110,9 +116,17 @@ class SpoolServer:
             a = self._matrix_cache[key] = read_matrix_auto(path)
         return a
 
-    def _handle(self, req_path: Path) -> None:
+    def _reply(self, req_path: Path, result: dict) -> None:
+        rid = result["id"]
+        tmp = self.done / f".{rid}.json.tmp"
+        tmp.write_text(json.dumps(result))
+        os.replace(tmp, self.done / f"{rid}.json")
+        req_path.unlink(missing_ok=True)
+        self.processed += 1
+
+    def _submit(self, req_path: Path) -> tuple[str, Future] | None:
+        """Parse and queue one request; ``None`` if it was answered here."""
         rid = req_path.stem
-        result: dict | None = None
         try:
             req = json.loads(req_path.read_text())
             rid = req.get("id", rid)
@@ -125,49 +139,52 @@ class SpoolServer:
         except SPOOL_ERRORS as exc:
             # Spool-local failure (bad JSON, missing/unreadable file):
             # the service never saw this request, so give telemetry a
-            # synthetic event (request_id -1 = no service id assigned).
-            result = {"id": rid, "ok": False, "error": str(exc),
-                      "error_type": type(exc).__name__,
-                      "failure_class": "spool-error"}
-            self.service.trace.record_request(ServiceEvent(
+            # synthetic record (request_id -1 = no service id assigned).
+            self.service.trace.record_request(ServiceStats(
                 request_id=-1, tier="failed", queue_wait=0.0,
-                makespan=0.0, error=type(exc).__name__,
-                error_summary=error_summary(exc),
+                error=type(exc).__name__, error_summary=error_summary(exc),
                 failure_class="spool-error"))
-        if result is None:
-            try:
-                x, stats = self.service.solve(a, b)
-                x_file = self.done / f"{rid}.npy"
-                np.save(x_file, x)
-                result = {
-                    "id": rid, "ok": True, "tier": stats.tier,
-                    "queue_wait": stats.queue_wait,
-                    "simulated_seconds": stats.makespan,
-                    "coalesced_width": stats.coalesced_width,
-                    "residual": stats.residual,
-                    "x_file": str(x_file),
-                }
-            except REQUEST_ERRORS as exc:
-                # Solver-side failure: already traced (with its failure
-                # class) by the service; echo the class to the client.
-                result = {"id": rid, "ok": False, "error": str(exc),
-                          "error_type": type(exc).__name__,
-                          "failure_class": classify_failure(exc)}
-        tmp = self.done / f".{rid}.json.tmp"
-        tmp.write_text(json.dumps(result))
-        os.replace(tmp, self.done / f"{rid}.json")
-        req_path.unlink(missing_ok=True)
-        self.processed += 1
+            self._reply(req_path, _failure(rid, exc, "spool-error"))
+            return None
+        try:
+            future = self.service.submit(a, b)
+        except REQUEST_ERRORS as exc:       # refused at the door (bad rhs)
+            future = Future()
+            future.set_exception(exc)
+        return rid, future
 
-    # ----------------------------------------------------------------- loop
+    def _finish(self, req_path: Path, rid: str, future: Future) -> None:
+        try:
+            x, stats = future.result()
+            x_file = self.done / f"{rid}.npy"
+            np.save(x_file, x)
+            result = {
+                "id": rid, "ok": True, "tier": stats.tier,
+                "queue_wait": stats.queue_wait,
+                "simulated_seconds": stats.makespan,
+                "coalesced_width": stats.coalesced_width,
+                "residual": stats.residual,
+                "x_file": str(x_file),
+            }
+        except REQUEST_ERRORS as exc:
+            # Solver-side failure: already traced (with its failure
+            # class) by the service; echo the class to the client.
+            result = _failure(rid, exc, classify_failure(exc))
+        self._reply(req_path, result)
 
     def step(self) -> int:
-        """Process every request currently in the inbox; returns the count."""
-        handled = 0
-        for req_path in sorted(self.inbox.glob("*.json")):
-            self._handle(req_path)
-            handled += 1
-        return handled
+        """Process every request currently in the inbox; returns the count.
+
+        Two phases, so the service queue actually fills: every request is
+        parsed and submitted first (backpressure, coalescing and all the
+        workers apply), then results are written as the futures complete.
+        """
+        paths = sorted(self.inbox.glob("*.json"))
+        pending = [(path, sent) for path in paths
+                   if (sent := self._submit(path)) is not None]
+        for path, (rid, future) in pending:
+            self._finish(path, rid, future)
+        return len(paths)
 
     def run(self, max_requests: int | None = None,
             idle_timeout: float | None = None, once: bool = False) -> int:

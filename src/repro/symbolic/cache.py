@@ -2,12 +2,12 @@
 
 The cold path (ordering → column structures → supernodes → blocks) depends
 only on the sparsity pattern, so its artifacts are reusable across every
-matrix sharing a pattern — including a pattern that was evicted from the
-service's in-memory symbolic tier and later re-admitted.  The
-:class:`AnalysisCache` keeps
+matrix sharing a pattern — including a pattern whose factor the solve
+service evicted and later re-admitted (this cache *is* the service's
+symbolic tier).  The :class:`AnalysisCache` keeps
 
 * an in-memory LRU of :class:`~repro.symbolic.analysis.SymbolicAnalysis`
-  objects (same shape as the service's ``SymbolicCache``), and
+  objects, and
 * an optional on-disk tier: one ``<pattern-key>.npz`` per pattern
   (content-hash keyed exactly like the service caches), holding the
   permutation, elimination tree, flat column structures, supernode

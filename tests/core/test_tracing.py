@@ -3,7 +3,8 @@
 import threading
 
 from repro.core import ExecutionTrace, OpCounters
-from repro.core.tracing import ServiceEvent
+from repro.core.tracing import SERVICE_EVENT_RING
+from repro.service import ServiceStats
 
 
 class TestOpCounters:
@@ -56,15 +57,28 @@ class TestExecutionTrace:
 
     def test_service_events_and_tier_counts(self):
         t = ExecutionTrace()
-        t.record_request(ServiceEvent(request_id=0, tier="cold",
-                                      queue_wait=0.1, makespan=1.0))
-        t.record_request(ServiceEvent(request_id=1, tier="factor",
-                                      queue_wait=0.0, makespan=0.2,
+        t.record_request(ServiceStats(request_id=0, tier="cold",
+                                      queue_wait=0.1, factor_seconds=1.0))
+        t.record_request(ServiceStats(request_id=1, tier="factor",
+                                      queue_wait=0.0, solve_seconds=0.2,
                                       coalesced_width=3))
-        t.record_request(ServiceEvent(request_id=2, tier="factor",
-                                      queue_wait=0.0, makespan=0.2))
+        t.record_request(ServiceStats(request_id=2, tier="factor",
+                                      queue_wait=0.0, solve_seconds=0.2))
         assert t.tier_counts() == {"cold": 1, "factor": 2}
         assert t.service_events[1].coalesced_width == 3
+
+    def test_service_events_ring_is_bounded_and_counts_stay_exact(self):
+        t = ExecutionTrace()
+        total = 10_000
+        for i in range(total):
+            t.record_request(ServiceStats(
+                request_id=i, tier="factor" if i % 4 else "refactor",
+                queue_wait=0.0))
+        assert len(t.service_events) == SERVICE_EVENT_RING < total
+        assert t.service_events[-1].request_id == total - 1
+        counts = t.tier_counts()
+        assert counts == {"refactor": total // 4, "factor": total - total // 4}
+        assert sum(counts.values()) == total
 
 
 class TestThreadSafety:
@@ -102,9 +116,9 @@ class TestThreadSafety:
                 t.add_h2d(8)
                 t.add_d2h(4)
                 t.record_fallback()
-                t.record_request(ServiceEvent(
+                t.record_request(ServiceStats(
                     request_id=i, tier="factor",
-                    queue_wait=0.0, makespan=0.1))
+                    queue_wait=0.0, solve_seconds=0.1))
 
         self._hammer(work)
         total = self.THREADS * self.PER_THREAD
@@ -112,5 +126,5 @@ class TestThreadSafety:
         assert t.h2d_bytes == 8 * total
         assert t.d2h_bytes == 4 * total
         assert t.gpu_fallbacks == total
-        assert len(t.service_events) == total
+        assert len(t.service_events) == min(total, SERVICE_EVENT_RING)
         assert t.tier_counts() == {"factor": total}

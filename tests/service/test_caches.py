@@ -1,4 +1,4 @@
-"""Unit tests for the service cache tiers and the request queue."""
+"""Unit tests for the service factor cache and the request queue."""
 
 import threading
 from concurrent.futures import Future
@@ -12,7 +12,6 @@ from repro.service import (
     RequestQueue,
     ServiceOverloaded,
     SolveRequest,
-    SymbolicCache,
 )
 from repro.sparse import grid_laplacian_2d
 
@@ -20,31 +19,6 @@ from repro.sparse import grid_laplacian_2d
 def _entry(key: str, nbytes: int, values_key: str = "v") -> FactorEntry:
     return FactorEntry(pattern_key=key, solver=object(),
                        values_key=values_key, nbytes=nbytes)
-
-
-class TestSymbolicCache:
-    def test_hit_miss_counting(self):
-        cache = SymbolicCache()
-        assert cache.get("a") is None
-        cache.put("a", "analysis-a")
-        assert cache.get("a") == "analysis-a"
-        assert cache.hits == 1
-        assert cache.misses == 1
-
-    def test_unbounded_by_default(self):
-        cache = SymbolicCache()
-        for i in range(100):
-            cache.put(f"k{i}", i)
-        assert len(cache) == 100
-
-    def test_entry_cap_evicts_lru(self):
-        cache = SymbolicCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1       # refresh "a"; "b" is now LRU
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
 
 
 class TestFactorCache:
@@ -79,14 +53,6 @@ class TestFactorCache:
         cache.put(_entry("a", 60, values_key="v2"))
         assert len(cache) == 1
         assert cache.current_bytes == 60
-
-    def test_account_resize(self):
-        cache = FactorCache(budget_bytes=100)
-        entry = _entry("a", 40)
-        cache.put(entry)
-        cache.account_resize(entry, 70)
-        assert cache.current_bytes == 70
-        assert entry.nbytes == 70
 
 
 def _request(rid: int, pkey: str = "p", vkey: str = "v",

@@ -6,6 +6,7 @@ factorization happens only on cache misses; coalesced multi-RHS solves
 are bit-identical to sequential single-RHS solves.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -62,7 +63,7 @@ class TestTiers:
             stats = [f.result()[1] for f in futures]
         counts = svc.counters()
         assert counts.symbolic_builds == 1
-        assert counts.symbolic_entries == 1
+        assert counts.analysis_cache["entries"] == 1
         # Exactly one full (cold) factorization; every numeric change
         # replays the cached graph instead of rebuilding.
         assert counts.numeric_factorizations == 1
@@ -82,21 +83,51 @@ class TestTiers:
         assert counts.symbolic_builds == 2
         assert counts.factor_entries == 2
 
-    def test_eviction_degrades_to_symbolic_not_cold(self):
+    def test_eviction_degrades_to_symbolic_not_cold(self, monkeypatch):
         """Evicting a factor keeps the symbolic analysis cached."""
+        import repro.core.base as base
+        import repro.symbolic.cache as cache
+
+        rebinds = []
+        real = cache.rebind_analysis_values
+
+        def counting(analysis, a):
+            rebinds.append(a)
+            return real(analysis, a)
+
+        monkeypatch.setattr(cache, "rebind_analysis_values", counting)
+        monkeypatch.setattr(base, "rebind_analysis_values", counting)
         a = grid_laplacian_2d(6, 6)
         b = grid_laplacian_2d(9, 5)
         config = _fast_config(workers=1, factor_budget_bytes=1)
         with SolveService(OPTIONS, config) as svc:
             _, s1 = svc.solve(a, _rhs(a, 0))
             _, s2 = svc.solve(b, _rhs(b, 1))     # evicts a's factor
+            assert rebinds == []                 # cold builds rebind nothing
             _, s3 = svc.solve(a, _rhs(a, 2))
         assert (s1.tier, s2.tier) == ("cold", "cold")
         assert s3.tier == "symbolic"
+        assert len(rebinds) == 1                # one value permutation
         counts = svc.counters()
         assert counts.evictions >= 2
         assert counts.bytes_evicted > 0
         assert counts.symbolic_builds == 2      # never rebuilt
+        # No directory configured: the memory tier alone served the return.
+        assert counts.analysis_cache["mem_hits"] == 1
+        assert counts.analysis_cache["disk_hits"] == 0
+
+    def test_callers_analysis_cache_is_the_symbolic_tier(self):
+        from repro.symbolic import AnalysisCache
+
+        cache = AnalysisCache()
+        a = grid_laplacian_2d(6, 6)
+        opts = SolverOptions(nranks=2, analysis_cache=cache)
+        with SolveService(opts, _fast_config(workers=1)) as svc:
+            _, s1 = svc.solve(a, _rhs(a, 0))
+        assert svc.analysis_cache is cache and len(cache) == 1
+        with SolveService(opts, _fast_config(workers=1)) as svc2:
+            _, s2 = svc2.solve(a, _rhs(a, 0))
+        assert (s1.tier, s2.tier) == ("cold", "symbolic")
 
 
 class TestResults:
@@ -140,11 +171,11 @@ class TestResults:
 
 
 class TestCoalescing:
-    def _run_coalesced(self, coalesce: bool):
+    def _run_coalesced(self, max_coalesce: int):
         """One slow leader, K same-factor followers queued behind it."""
         a = random_spd(40, density=0.15, seed=9)
         rhs = [_rhs(a, seed) for seed in range(5)]
-        config = _fast_config(workers=1, coalesce=coalesce, max_coalesce=8)
+        config = _fast_config(workers=1, max_coalesce=max_coalesce)
         svc = SolveService(OPTIONS, config)
         release = threading.Event()
         orig = svc._materialize
@@ -168,7 +199,7 @@ class TestCoalescing:
         solver.factorize()
         refs = [solver.solve(_rhs(a, seed))[0] for seed in range(5)]
 
-        svc, results = self._run_coalesced(coalesce=True)
+        svc, results = self._run_coalesced(max_coalesce=8)
         widths = [stats.coalesced_width for _, stats in results]
         assert max(widths) == 5          # all five rode one stacked solve
         assert svc.counters().coalesced_requests == 5
@@ -177,7 +208,7 @@ class TestCoalescing:
             assert np.array_equal(x, x_ref)
 
     def test_coalescing_disabled(self):
-        svc, results = self._run_coalesced(coalesce=False)
+        svc, results = self._run_coalesced(max_coalesce=1)
         assert all(stats.coalesced_width == 1 for _, stats in results)
         assert svc.counters().coalesced_requests == 0
         assert svc.counters().solve_runs == 5
@@ -256,3 +287,10 @@ class TestApi:
             ServiceConfig(workers=0)
         with pytest.raises(ValueError):
             ServiceConfig(max_coalesce=0)
+
+    def test_config_has_five_knobs(self):
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "workers", "queue_depth", "factor_budget_bytes", "max_coalesce",
+            "analysis_cache_dir"]
+        with pytest.raises(TypeError):      # retired: max_coalesce=1 instead
+            ServiceConfig(**{"coalesce": False})

@@ -17,7 +17,7 @@ PLAN_OPTIONS = SolverOptions(nranks=2, plan_mode="on")
 
 
 def _config(**overrides) -> ServiceConfig:
-    defaults = dict(workers=1, queue_depth=32, coalesce=False)
+    defaults = dict(workers=1, queue_depth=32, max_coalesce=1)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 

@@ -1,6 +1,7 @@
 """Round-trip tests of the file-spool front-end behind serve/submit."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -57,6 +58,33 @@ def test_repeat_requests_hit_the_factor_cache(tmp_path, matrix_file):
     assert svc.counters().symbolic_builds == 1
 
 
+def test_one_drain_queues_and_coalesces(tmp_path, matrix_file):
+    """Requests present in one drain are all queued before any result is
+    awaited, so same-factor solves ride one stacked run."""
+    _, path = matrix_file
+    svc, server = _server(tmp_path)
+    orig = svc._materialize
+    calls = []
+
+    def gated(req):
+        calls.append(req.request_id)
+        deadline = time.monotonic() + 10.0
+        while len(svc._queue) < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)       # hold the leader until both followers queue
+        return orig(req)
+
+    svc._materialize = gated
+    try:
+        rids = [submit_request(server.spool, path, seed=s) for s in range(3)]
+        assert server.run(once=True) == 3
+        results = [wait_result(server.spool, rid, timeout=5.0) for rid in rids]
+    finally:
+        svc.stop()
+    assert len(calls) == 1 and svc.counters().solve_runs == 1
+    assert [r["coalesced_width"] for r in results] == [3, 3, 3]
+    assert sorted(r["tier"] for r in results) == ["cold", "factor", "factor"]
+
+
 def test_explicit_rhs_file(tmp_path, matrix_file):
     a, path = matrix_file
     rhs = np.arange(a.n, dtype=np.float64)
@@ -83,6 +111,24 @@ def test_bad_request_reports_error(tmp_path):
         svc.stop()
     assert result["ok"] is False
     assert "error" in result
+
+
+def test_rhs_of_wrong_height_is_answered_as_request_error(tmp_path,
+                                                          matrix_file):
+    a, path = matrix_file
+    np.save(tmp_path / "short.npy", np.ones(a.n - 1))
+    svc, server = _server(tmp_path)
+    try:
+        bad = submit_request(server.spool, path,
+                             rhs_file=tmp_path / "short.npy")
+        good = submit_request(server.spool, path)
+        assert server.run(once=True) == 2
+        bad, good = (wait_result(server.spool, rid, timeout=5.0)
+                     for rid in (bad, good))
+    finally:
+        svc.stop()
+    assert (bad["ok"], bad["failure_class"]) == (False, "request-error")
+    assert good["ok"] is True
 
 
 def test_request_files_are_consumed(tmp_path, matrix_file):

@@ -90,6 +90,16 @@ class TestAnalysisCache:
         assert cache.get(mats[0]) is None      # evicted (oldest)
         assert cache.get(mats[2]) is not None  # newest survives
 
+    def test_get_refreshes_lru_slot(self):
+        cache = AnalysisCache(max_entries=2)
+        mats = [random_spd(30 + i, density=0.2, seed=i) for i in range(3)]
+        cache.put(mats[0], analyze(mats[0]))
+        cache.put(mats[1], analyze(mats[1]))
+        assert cache.get(mats[0]) is not None  # refresh 0; 1 is now LRU
+        cache.put(mats[2], analyze(mats[2]))
+        assert cache.key_of(mats[1]) not in cache
+        assert cache.key_of(mats[0]) in cache and cache.key_of(mats[2]) in cache
+
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError, match="max_entries"):
             AnalysisCache(max_entries=0)
@@ -143,9 +153,18 @@ class TestSolverIntegration:
         assert phases["ordering_ms"] == 0.0
         assert phases["first_des_ms"] > 0.0
 
-    def test_service_symbolic_tier_rides_analysis_cache(self, tmp_path):
+    def test_service_symbolic_tier_rides_analysis_cache(self, tmp_path,
+                                                        monkeypatch):
         from repro import CPU_ONLY, SolverOptions
         from repro.service import ServiceConfig, SolveService
+        from repro.sparse import SymmetricCSC
+
+        value_rebinds = []
+        real_permuted = SymmetricCSC.permuted
+
+        def counting(self, perm):
+            value_rebinds.append(self)
+            return real_permuted(self, perm)
 
         a = thermal_like(n=200)
         rng = np.random.default_rng(1)
@@ -161,11 +180,15 @@ class TestSolverIntegration:
         assert counters.tiers.get("cold") == 1
 
         # A fresh service (new process stand-in) resolves the same
-        # pattern at the symbolic tier straight from disk.
+        # pattern at the symbolic tier straight from disk, permuting the
+        # request's values into the cached ordering exactly once.
+        monkeypatch.setattr(SymmetricCSC, "permuted", counting)
         with SolveService(opts, cfg) as svc2:
             x2, _ = svc2.solve(a, b)
             counters2 = svc2.counters()
+        assert len(value_rebinds) == 1
         assert counters2.analysis_cache["disk_hits"] == 1
+        assert counters2.analysis_cache["mem_hits"] == 0
         assert counters2.tiers.get("symbolic") == 1
         assert "cold" not in counters2.tiers
         assert np.array_equal(x1, x2)
