@@ -5,9 +5,9 @@ PGAS runtime *rely on* into properties that are mechanically checked on
 every commit instead of merely sampled by property tests.
 
 * :mod:`repro.analysis.waves` — the **wave conflict verifier**.  Consumes
-  the ``(KernelCall, wave)`` stream a :class:`~repro.kernels.dispatch
-  .KernelExecutor` flushes and proves that the waves levelize that
-  exact stream's byte-level effects: no two calls in one wave touch
+  the submitted ``(KernelCall, wave)`` stream of every
+  :class:`~repro.kernels.dispatch.KernelExecutor` flush and proves that
+  the waves levelize that exact stream's byte-level effects: no two calls in one wave touch
   overlapping bytes with an in-place write, and every accumulating
   scatter-add is ordered consistently (submission order agrees with wave
   order) against every in-place access of the same bytes.

@@ -26,9 +26,9 @@ from ..kernels.dispatch import ExecContext, KernelCall
 __all__ = ["Access", "KERNEL_EFFECTS", "HANDLER_WRITE_SPEC", "RHS_OPS",
            "canonical_region", "call_accesses"]
 
-# Ops that read/write overlapping slices of the shared rhs buffer; solve
-# streams are never re-sorted by wave (the wave verifier has nothing to
-# prove for such flushes).
+# Ops that read/write overlapping slices of the shared rhs buffer; the
+# whole-buffer model below makes every pair of them conflict, so the
+# wave verifier does not try to prove such flushes.
 RHS_OPS = frozenset({"trsv", "gemv_fwd", "gemv_bwd"})
 
 

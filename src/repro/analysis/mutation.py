@@ -13,7 +13,8 @@ The injections mirror the analysis layers:
   clean, then mutated: a ``trsm_block`` call is duplicated *into its own
   wave* (two unordered in-place writes of one panel block — must raise
   ``WAVE001``) and re-submitted *into an earlier wave* (submission/wave
-  order inversion — must raise ``WAVE002``).
+  order inversion — must raise ``WAVE002``); a live factorization that
+  submits one past the last wave must raise ``WAVE002`` on its session.
 * **plan-waves** — the same stream is run through the plan compile pass
   (``repro.plans``) and re-verified; a fused ``multi_update`` group
   inserted ahead of the stream against a ``trsm_block`` target must
@@ -89,7 +90,7 @@ class MutationReport:
 
 
 def _capture_factor_flush() -> tuple:
-    """One real factorization's flush stream + executor."""
+    """One real factorization's solver, executor and executed stream."""
     from ..core.solver import SolverOptions, SymPackSolver
     from ..sparse.generators import random_spd
 
@@ -97,14 +98,41 @@ def _capture_factor_flush() -> tuple:
     solver = SymPackSolver(a, SolverOptions(nranks=2))
     captured: list = []
     solver.session._flush_hook = (
-        lambda executor, pending: captured.append((executor, list(pending))))
+        lambda executor, submitted, executed:
+        captured.append((solver, executor, list(executed))))
     solver.factorize()
     return captured[0]
 
 
+def _late_submit(solver, late_wave: int) -> list[Finding]:
+    """Session findings of a plain re-run with a trsm_block submitted late.
+
+    The flush sorts the late call after the updates that read its block,
+    so only the *submitted* stream the session verifies shows it.
+    """
+    from ..core.engine import FanOutEngine
+    from ..kernels.dispatch import KernelExecutor
+
+    session, graph = solver.session, solver._factor_graph
+    executor = KernelExecutor(graph.context, flush_hook=session._verify_flush)
+    submit = executor.submit
+    late = next(t.tid for t in graph.tasks if t.kernel.op == "trsm_block")
+
+    def late_submit(task, rank, device, wave=None):
+        submit(task, rank, device, late_wave if task.tid == late else wave)
+
+    executor.submit = late_submit
+    solver.storage.reset()
+    graph.context.fresh_run()
+    FanOutEngine(session._new_world(), graph, session.offload,
+                 executor=executor).run()
+    graph.context.end_run()
+    return session.wave_findings
+
+
 def selftest_waves() -> MutationReport:
     """Wave verifier: clean stream passes; injected conflicts are caught."""
-    executor, pending = _capture_factor_flush()
+    solver, executor, pending = _capture_factor_flush()
     ctx = executor.context
     clean = verify_flush(pending, ctx)
 
@@ -116,23 +144,28 @@ def selftest_waves() -> MutationReport:
     overlapping = verify_flush(pending + [(call, wave)], ctx)
     # Injection 2: re-submission into an earlier wave (order inversion).
     inverted = verify_flush(pending + [(call, max(0, wave - 1))], ctx)
+    # Injection 3: a live run submits a trsm_block past the last wave.
+    late = _late_submit(solver, max(w for _c, w in pending) + 1)
 
-    injected = overlapping + inverted
     report = MutationReport(
         layer="waves",
         clean_findings=clean,
-        injected_findings=injected,
+        injected_findings=overlapping + inverted + late,
         expect_rules=("WAVE001", "WAVE002"),
         notes=(f"captured {len(pending)} calls; duplicated trsm_block "
-               f"args={call.args} (wave {wave})"),
+               f"args={call.args} (wave {wave}); live run with a late "
+               f"trsm_block raised {sorted({f.rule for f in late})}"),
         details={"stream_calls": len(pending), "mutant_site": call.args},
     )
     # Precision: the WAVE001 finding must name the duplicated call's
-    # panel buffer and both task indices.
+    # panel buffer and both task indices; the late submission must be
+    # caught by the session's own hook.
     w1 = [f for f in overlapping if f.rule == "WAVE001"]
     if not any(f.details.get("buffer") == ("panel", call.args[0])
                and f.details.get("task_b") == len(pending) for f in w1):
         report.expect_rules = report.expect_rules + ("WAVE001-precise",)
+    if not any(f.rule == "WAVE002" for f in late):
+        report.expect_rules = report.expect_rules + ("WAVE002-late",)
     return report
 
 
@@ -156,7 +189,7 @@ def selftest_plan_waves() -> MutationReport:
     from ..plans import compile_stream
     from .waves import verify_plan
 
-    executor, pending = _capture_factor_flush()
+    _solver, executor, pending = _capture_factor_flush()
     ctx = executor.context
     plan = compile_stream(pending)
     clean = verify_plan(plan, ctx)

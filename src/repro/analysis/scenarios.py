@@ -96,7 +96,7 @@ def run_scenarios(check_races: bool = True) -> list[ScenarioResult]:
     """Run every family × matrix scenario with checking enabled.
 
     Each scenario factorizes and solves under ``check_waves`` (every
-    flush's pending stream verified) and, by default, ``check_races``
+    flush's submitted stream verified) and, by default, ``check_races``
     (vector-clock tracer attached to every world).  Returns per-scenario
     results; a scenario with findings is a correctness bug in the
     executor or engine, not in the workload.
@@ -114,15 +114,16 @@ def run_scenarios(check_races: bool = True) -> list[ScenarioResult]:
             captured: list = []  # first factor flush: (stream, ctx)
             verify = session._flush_hook
 
-            def counting_hook(executor: Any, pending: list,
+            def counting_hook(executor: Any, submitted: list,
+                              executed: list,
                               _verify: Callable[..., None] | None = verify,
                               _captured: list = captured) -> None:
                 nonlocal flushes
                 flushes += 1
                 if not _captured:
-                    _captured.append((list(pending), executor.context))
+                    _captured.append((list(executed), executor.context))
                 if _verify is not None:
-                    _verify(executor, pending)
+                    _verify(executor, submitted, executed)
 
             session._flush_hook = counting_hook
             solver.factorize()

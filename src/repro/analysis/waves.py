@@ -1,21 +1,22 @@
 """Wave conflict verifier: waves are a sound levelization of the effects.
 
-The kernel executor never runs anything concurrently, but three
-mechanisms reorder or cut the flush stream *by wave* and rely on the
-result producing the same bytes as submission order: canonical
-``(wave, tid)`` re-sorting (resilient runs), checkpoint wave cuts
-(:meth:`KernelExecutor.flush_through
+The kernel executor never runs anything concurrently, but every flush
+re-sorts its stream into canonical ``(wave, tid)`` order; checkpoint
+wave cuts (:meth:`KernelExecutor.flush_through
 <repro.kernels.dispatch.KernelExecutor.flush_through>`) and compiled
-plan streams.  That holds iff the wave numbers are a sound
-levelization of the byte-level effects — any two calls whose accesses
-conflict sit in different waves, ordered the way they were submitted.
+plan streams are prefixes and recordings of that order.  The sorted
+stream produces the bytes of the submitted one (task start order, a
+legal serial order) iff the wave numbers are a sound levelization of
+the byte-level effects — any two calls whose accesses conflict sit in
+different waves, ordered the way they were submitted.
 
-:func:`verify_flush` consumes exactly what :meth:`KernelExecutor.flush
-<repro.kernels.dispatch.KernelExecutor.flush>` consumes — the pending
-``(KernelCall, wave)`` stream — and proves it for that stream with three
-rules, each checked pairwise over overlapping accesses to the same
-canonical buffer (:mod:`repro.analysis.effects` classifies every write
-as *in place* or *accumulating* — a scatter-add or aggregate subtract,
+:func:`verify_flush` consumes the *submitted* ``(KernelCall, wave)``
+stream the flush hook receives next to the executed one — the executed
+stream is already wave-sorted, so checking it would compare wave order
+with itself — and proves it for that stream with three rules, each
+checked pairwise over overlapping accesses to the same canonical buffer
+(:mod:`repro.analysis.effects` classifies every write as *in place* or
+*accumulating* — a scatter-add or aggregate subtract,
 ``Access.deferred``):
 
 1. **Intra-wave isolation** (``WAVE001``): two calls in the same wave
@@ -40,10 +41,11 @@ modelled at the apply's own wave.  A write to an aggregate submitted
 *after* its apply is serially consistent and not flagged; no graph
 builder produces that shape.
 
-A stream with a missing wave (direct submitters) or any rhs-sweep kernel
-(solve graphs sweep one shared rhs buffer in submission order and are
-never re-sorted) has nothing to prove; :func:`verify_flush` returns no
-findings for it.
+A stream with a missing wave (direct submitters, never re-sorted) has
+nothing to prove; one with any rhs-sweep kernel is sorted but not
+proven, since the effect model treats the shared rhs buffer as one
+region and every pair would conflict.  :func:`verify_flush` returns no
+findings for either.
 """
 
 from __future__ import annotations

@@ -267,7 +267,7 @@ class SolverBase:
         self._closed = False
         self._factor_graph: TaskGraph | None = None
         # Solve graphs cached per right-hand-side count:
-        # nrhs -> (forward graph, backward graph, rhs buffer).
+        # nrhs -> (forward graph, backward graph, (nrhs, n) rhs buffer).
         self._solve_graphs: dict[int, tuple[TaskGraph, TaskGraph, np.ndarray]] = {}
         self._factorized = False
         # Compiled-plan state (plan_mode="on"): the factor plan is
@@ -492,16 +492,19 @@ class SolverBase:
 
         cached = self._solve_graphs.get(nrhs)
         if cached is None:
-            rhs = self.session.pool.take((self.a.n, nrhs), label="rhs",
-                                         zero=False)
-            fwd, bwd = self._build_solve_graphs(rhs)
+            # Column-major rhs (the graphs see the transpose): each column
+            # is contiguous like a solo rhs, so it solves to the same bits.
+            base = self.session.pool.take((nrhs, self.a.n), label="rhs",
+                                          zero=False)
+            fwd, bwd = self._build_solve_graphs(base.T)
             for g in (fwd, bwd):
                 if g.context is None:
-                    g.context = self._exec_context(rhs=rhs)
+                    g.context = self._exec_context(rhs=base.T)
                 elif g.context.pool is None:
                     g.context.pool = self.session.pool
-            cached = self._solve_graphs[nrhs] = (fwd, bwd, rhs)
-        fwd, bwd, rhs = cached
+            cached = self._solve_graphs[nrhs] = (fwd, bwd, base)
+        fwd, bwd, base = cached
+        rhs = base.T
         rhs[:, :] = vals[self.analysis.perm.perm]
 
         total_time = 0.0
@@ -509,9 +512,9 @@ class SolverBase:
         comm = CommStats()
         plans = self._solve_plans.get(nrhs) if self._plan_enabled else None
         if plans is not None:
-            # Warm path: both sweeps execute their compiled streams (rhs
-            # kernels force the serial flush path either way, so replay
-            # order equals DES order trivially).
+            # Warm path: both sweeps execute their compiled streams,
+            # recorded in the canonical (wave, tid) order a DES run
+            # executes, so replay and DES produce the same bits.
             for plan, graph in zip(plans, (fwd, bwd)):
                 graph.context.fresh_run()
                 self._execute_plan(plan, graph.context)
@@ -569,11 +572,11 @@ class SolverBase:
         if self._plan_arena is not None:
             self._plan_arena.retire()
             self._plan_arena = None
-        for fwd, bwd, rhs in self._solve_graphs.values():
+        for fwd, bwd, base in self._solve_graphs.values():
             for g in (fwd, bwd):
                 if g.context is not None:
                     g.context.close()
-            self.session.pool.give(rhs)
+            self.session.pool.give(base)
         self._solve_graphs.clear()
         if (self._factor_graph is not None
                 and self._factor_graph.context is not None):

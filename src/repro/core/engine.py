@@ -19,9 +19,10 @@ paradigm (Section 3.4, Figures 3–4) event-for-event:
 Numerics are real but *deferred*: each task's declarative
 :class:`~repro.kernels.dispatch.KernelCall` is submitted to a
 :class:`~repro.kernels.dispatch.KernelExecutor` at its simulated start and
-the whole run is flushed — in exact start order, batched by op — once the
-simulation drains.  Time, placement and communication are simulated
-against the machine model.
+the whole run is flushed — in canonical ``(wave, tid)`` order, batched by
+op — once the simulation drains, so the bits depend on the graph alone.
+Time, placement and communication are simulated against the machine
+model.
 """
 
 from __future__ import annotations
@@ -106,10 +107,8 @@ class FanOutEngine:
         over ``graph.context``.
     flush_hook:
         Optional flush observer forwarded to the default-constructed
-        executor (see :class:`~repro.kernels.dispatch.KernelExecutor`).
-    canonical:
-        Execute flushed kernels in canonical ``(wave, tid)`` order
-        (forwarded to the executor; see the resilience subsystem).
+        executor (see :class:`~repro.kernels.dispatch.KernelExecutor`),
+        which runs every flush in canonical ``(wave, tid)`` order.
     checkpointer:
         Optional :class:`~repro.resilience.checkpoint.CheckpointManager`
         (duck-typed): notified at engine start and on every task
@@ -129,7 +128,6 @@ class FanOutEngine:
         trace: ExecutionTrace | None = None,
         executor: KernelExecutor | None = None,
         flush_hook=None,
-        canonical: bool = False,
         checkpointer=None,
         resume=None,
     ) -> None:
@@ -141,10 +139,7 @@ class FanOutEngine:
         self.trace = trace if trace is not None else ExecutionTrace()
         self.executor = (executor if executor is not None
                          else KernelExecutor(graph.context, trace=self.trace,
-                                             canonical=canonical,
                                              flush_hook=flush_hook))
-        if canonical:
-            self.executor.canonical = True
         if self.executor.trace is None:
             self.executor.trace = self.trace
         self._checkpointer = checkpointer
@@ -343,10 +338,10 @@ class FanOutEngine:
         task = self.graph.tasks[tid]
         self._busy[rank] = True
         device, duration = self._place_task(task, rank)
-        # Numerics are deferred: submission order is task start order, so
-        # the flushed execution is dependency-respecting.
-        self.executor.submit(task, rank, device, wave=self._wave[tid],
-                             order_key=task.tid)
+        # Numerics are deferred: the flush runs in (wave, tid) order, and
+        # a consumer's wave exceeds every producer's, so execution is
+        # dependency-respecting whatever the simulated start order.
+        self.executor.submit(task, rank, device, wave=self._wave[tid])
         end = now + duration
         self.world.ranks[rank].busy_time += duration
         self.trace.record_task(now, end, rank, task.label)
@@ -469,8 +464,9 @@ class FanOutEngine:
                 f"engine finished with {stranded}"
                 f" unexecuted tasks (protocol deadlock?); first stuck: {stuck}"
             )
-        # The simulation has fixed the execution order; now run the real
-        # numerics, batched.  Exceptions (e.g. non-SPD pivots) surface here.
+        # The simulation has fixed every task's wave; now run the real
+        # numerics in (wave, tid) order, batched.  Exceptions (e.g.
+        # non-SPD pivots) surface here.
         self.executor.flush()
         busy = [r.busy_time for r in self.world.ranks]
         return EngineResult(

@@ -127,11 +127,11 @@ class ExecutionSession:
         # that executed a frozen kernel stream instead of the DES.
         self.plan_runs = 0
 
-    def _verify_flush(self, executor, pending) -> None:
-        """Default ``check_waves`` observer: verify every flush's stream."""
+    def _verify_flush(self, executor, submitted, executed) -> None:
+        """Default ``check_waves`` observer: verify each submitted stream."""
         from ..analysis.waves import verify_flush
 
-        self.wave_findings.extend(verify_flush(pending, executor.context))
+        self.wave_findings.extend(verify_flush(submitted, executor.context))
 
     @classmethod
     def from_options(cls, options, machine: MachineModel | None = None,

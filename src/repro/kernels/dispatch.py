@@ -12,18 +12,20 @@ the closure design could not provide:
   context (``fresh_run`` + ``FactorStorage.reset``) replays the same graph
   (the PEXSI repeated-factorization pattern);
 * **batched execution** — the engine *defers* numerics: kernels are
-  submitted in exact task-start order and flushed at the end of the run,
-  with maximal runs of consecutive same-op calls executed as one batch
+  submitted at task start and flushed at the end of the run, with
+  maximal runs of consecutive same-op calls executed as one batch
   (stacked GEMM/SYRK products when operand shapes agree), cutting Python
   per-call overhead on the hot update path while keeping the scatter
   order — and therefore the floating-point results — identical to
-  eager per-task execution;
-* **a stream that can be re-sorted, cut and recorded** — the engine
-  records each task's dependency *wave* (DAG depth level) at submission.
-  The flush never runs anything concurrently; waves are an ordering
-  notion that gives canonical ``(wave, tid)`` re-sorting, checkpoint
-  cuts (:meth:`KernelExecutor.flush_through`) and compiled-plan streams
-  a timing-independent order, which the wave conflict verifier
+  one-at-a-time execution of the same stream;
+* **one timing-independent order** — the engine records each task's
+  dependency *wave* (DAG depth level) at submission, and every flush
+  runs in canonical ``(wave, tid)`` order, so the bits are a function of
+  the task graph alone, never of simulated timing, scheduling policy,
+  plans or faults.  The flush never runs anything concurrently; waves
+  are an ordering notion that checkpoint cuts
+  (:meth:`KernelExecutor.flush_through`) and compiled-plan streams
+  share, and which the wave conflict verifier
   (:mod:`repro.analysis.waves`) proves sound.
 
 Operand references understood by :meth:`ExecContext.resolve`:
@@ -50,6 +52,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any
 
 import numpy as np
@@ -94,6 +97,8 @@ class KernelCall:
 
 NOOP = KernelCall("noop")
 
+_Entry = tuple[KernelCall, int | None]  # one (call, wave) stream entry
+
 
 class ExecContext:
     """Run-state a graph's kernel calls resolve their operands against.
@@ -104,7 +109,8 @@ class ExecContext:
         The :class:`~repro.core.storage.FactorStorage` being factored (or
         read, for solve graphs).
     rhs:
-        Dense ``(n, nrhs)`` right-hand-side block of a solve graph.
+        Dense ``(n, nrhs)`` right-hand-side block of a solve graph
+        (column-major, so each column is contiguous).
     scratch:
         Named accumulator arrays (fan-in / fan-both aggregate buffers),
         registered at graph-build time and zeroed by :meth:`fresh_run`.
@@ -397,11 +403,14 @@ def _op_frontal(ctx: ExecContext, s: int, kids: Sequence[int]) -> None:
 
 
 # The three solve kernels sweep a multi-column rhs column by column so
-# that every column goes through the exact single-vector BLAS path.  This
-# is what makes the service's rhs coalescing lossless: a k-wide stacked
-# solve is bit-identical to k sequential single-rhs solves (multi-column
-# solve_triangular / gemm may otherwise pick differently-blocked kernels
-# with different rounding).
+# that every column goes through the single-vector BLAS path.  That makes
+# the service's rhs coalescing lossless — each column of a k-wide solve
+# is bit-identical to its solo solve — for two reasons.  The kernel order
+# is the canonical (wave, tid) order of the solve graph, which does not
+# depend on the nrhs-scaled task durations of the simulation.  And the
+# solve buffer is column-major (``SolverBase.solve``), so each column is
+# contiguous, exactly as a single rhs is, and BLAS sees the same
+# unit-stride operand.
 
 
 def _op_trsv(ctx: ExecContext, s: int, fc: int, lc: int,
@@ -448,8 +457,8 @@ KERNEL_OPS = {
 # --------------------------------------------------------- batch handlers
 #
 # A batch handler executes a run of consecutive same-op calls at once.
-# Products are order-independent; the scatter-adds are applied in the
-# original submission order, so results match the one-at-a-time path.
+# Products are order-independent; the scatter-adds are applied in stream
+# order, so results match the one-at-a-time path.
 # Each returns the number of calls that actually went through a stacked
 # product (same-shape groups of more than one call).
 #
@@ -579,138 +588,97 @@ class KernelExecutor:
     (recording per-op trace counters and the task's dependency wave) and
     :meth:`flush`es once the run completes.
 
-    A flush executes in submission order with maximal runs of consecutive
-    same-op calls handed to a batch handler — the only execution mode.
-    :meth:`run_one` over the per-op :data:`KERNEL_OPS` handlers is the
-    one-at-a-time reference the determinism property tests compare it to.
+    A flush executes in canonical ``(wave, tid)`` order (DAG depth, task
+    build index), so the bits are a function of the task graph alone,
+    with maximal runs of consecutive same-op calls handed to a batch
+    handler — the only execution mode.  :meth:`run_one` over the per-op
+    :data:`KERNEL_OPS` handlers is the one-at-a-time reference the
+    determinism property tests compare it to.
     """
 
     def __init__(self, context: ExecContext | None = None,
                  trace: Any = None,
-                 canonical: bool = False,
-                 flush_hook: Callable[
-                     ["KernelExecutor",
-                      list[tuple[KernelCall, int | None]]],
-                     None] | None = None) -> None:
+                 flush_hook: Callable[[Any, list[_Entry], list[_Entry]],
+                                      None] | None = None) -> None:
         self.context = context if context is not None else ExecContext()
         self.trace = trace
-        # Observer of every flush: called with (executor, pending) before
-        # execution, where pending is the raw (call, wave) stream.  The
-        # wave conflict verifier attaches here (session ``check_waves``).
+        # Observer of every flush, called before execution with the
+        # (call, wave) stream as submitted and as about to be executed.
+        # The wave verifier (session ``check_waves``) checks the first,
+        # plan recording keeps the second.
         self.flush_hook = flush_hook
-        # Canonical mode re-sorts each flushed stream by (wave, order_key)
-        # — both timing-independent (DAG depth, task build index) — so the
-        # executed order is a pure function of the task graph.  Resilient
-        # sessions enable it for baseline and faulted runs alike: message
-        # timing then cannot perturb scatter-add order, which is what
-        # makes factors bit-identical across fault scenarios.
-        self.canonical = canonical
         self.stats = ExecutorStats()
-        self._pending: list[tuple[KernelCall, int | None]] = []
-        self._order: list[int | None] = []
+        self._pending: list[_Entry] = []
+        self._tids: list[int | None] = []
 
     def submit(self, task: Any, rank: int, device: str,
-               wave: int | None = None,
-               order_key: int | None = None) -> None:
+               wave: int | None = None) -> None:
         """Queue a task's kernel; account its op/flops to the trace.
 
-        ``wave`` is the task's dependency depth in the DAG (0 for roots).
-        Submitters that do not track waves (tests, direct replays) leave
-        it ``None`` (execution order never depends on it outside
-        canonical mode and checkpoint cuts).
-        ``order_key`` is a timing-independent tiebreaker within a wave
-        (the engine passes the task id); only canonical mode reads it.
+        ``wave`` is the task's DAG depth (0 for roots); the flush orders
+        by ``(wave, task.tid)``.  Submitters without waves (tests, direct
+        replays) leave it ``None``, keep submission order, need no tid.
         """
         if self.trace is not None:
             self.trace.ops.record(rank, task.op, device, task.flops)
         self._pending.append((task.kernel, wave))
-        self._order.append(order_key)
-
-    def _canonical_sort(
-        self, pending: list[tuple[KernelCall, int | None]],
-        keys: list[int | None]
-    ) -> list[tuple[KernelCall, int | None]]:
-        """Reorder a flush stream into (wave, order_key) order.
-
-        Falls back to submission order when any entry lacks a wave or
-        key (direct submitters) — canonical mode then degrades to the
-        historical behaviour instead of guessing.
-        """
-        if not self.canonical:
-            return pending
-        if any(w is None for _, w in pending) or any(k is None for k in keys):
-            return pending
-        idx = sorted(range(len(pending)),
-                     key=lambda i: (pending[i][1], keys[i]))
-        return [pending[i] for i in idx]
+        self._tids.append(None if wave is None else task.tid)
 
     def flush(self) -> None:
-        """Execute all pending kernels in (canonical) submission order."""
-        pending, self._pending = self._pending, []
-        keys, self._order = self._order, []
-        if not pending:
-            return
-        pending = self._canonical_sort(pending, keys)
-        if self.flush_hook is not None:
-            self.flush_hook(self, pending)
-        self._execute(pending)
+        """Execute all pending kernels in canonical (wave, tid) order."""
+        self.flush_through(None)
 
-    def flush_through(self, wave_cut: int) -> int:
-        """Execute only the pending kernels with wave <= ``wave_cut``.
+    def flush_through(self, wave_cut: int | None) -> int:
+        """Execute the pending kernels with wave <= ``wave_cut`` (all if None).
 
         The checkpoint path: a wave-frontier cut of the canonical stream
         is a prefix of the fully-sorted stream, so executing it now and
         the remainder at the final ``flush()`` yields bytes identical to
-        one uncut flush.  Entries without a wave are executed too (they
-        cannot be ordered against the cut, and direct submitters do not
-        checkpoint).  Returns the number of calls executed.
+        one uncut flush.  Entries without a wave are executed too, and
+        keep submission order (direct submitters do not checkpoint).
+        Returns the number of calls executed.
         """
-        if not self._pending:
-            return 0
-        take: list[tuple[KernelCall, int | None]] = []
-        take_keys: list[int | None] = []
-        keep: list[tuple[KernelCall, int | None]] = []
-        keep_keys: list[int | None] = []
-        for (call, wave), key in zip(self._pending, self._order):
-            if wave is None or wave <= wave_cut:
-                take.append((call, wave))
-                take_keys.append(key)
-            else:
-                keep.append((call, wave))
-                keep_keys.append(key)
-        if not take:
-            return 0
-        self._pending, self._order = keep, keep_keys
-        take = self._canonical_sort(take, take_keys)
-        if self.flush_hook is not None:
-            self.flush_hook(self, take)
-        self._execute(take)
+        take, tids = self._pending, self._tids
+        if wave_cut is None:
+            self._pending, self._tids = [], []
+        else:
+            due = [w is None or w <= wave_cut for _c, w in take]
+            later = [not d for d in due]
+            self._pending = list(compress(take, later))
+            self._tids = list(compress(tids, later))
+            take, tids = list(compress(take, due)), list(compress(tids, due))
+        if take:
+            # Sort indices, not per-entry key tuples: allocating tens of
+            # thousands of tuples costs more (GC passes) than the sort.
+            waves = [w for _c, w in take]
+            self._run(take, take if None in waves else [
+                take[i] for i in np.lexsort((tids, waves)).tolist()])
         return len(take)
 
-    def execute_stream(
-            self,
-            stream: Sequence[tuple[KernelCall, int | None]]) -> None:
+    def execute_stream(self, stream: Sequence[_Entry]) -> None:
         """Execute a prerecorded ``(call, wave)`` stream as one flush.
 
-        The compiled-plan replay path (:mod:`repro.plans`): the stream is
-        executed exactly as a flush of the same pending list would be —
-        the flush hook observes it first (so the wave conflict verifier
-        covers plan streams too), then the batched flush runs.  Nothing
-        may be pending: plans replace submission, they do not interleave
-        with it.
+        The compiled-plan replay path (:mod:`repro.plans`): the stream
+        was recorded in executed order and runs as recorded; the flush
+        hook sees it as both submitted and executed (so the wave verifier
+        covers plan streams too).  Nothing may be pending: plans replace
+        submission, they do not interleave with it.
         """
         if self._pending:
             raise RuntimeError(
                 "execute_stream() with submitted kernels pending; flush "
                 "first or use a dedicated executor")
-        if not stream:
-            return
-        pending = list(stream)
-        if self.flush_hook is not None:
-            self.flush_hook(self, pending)
-        self._execute(pending)
+        if stream:
+            pending = list(stream)
+            self._run(pending, pending)
 
-    def _execute(self, pending: list[tuple[KernelCall, int | None]]) -> None:
+    def _run(self, submitted: list[_Entry], executed: list[_Entry]) -> None:
+        """The one flush tail: announce to the hook, then execute."""
+        if self.flush_hook is not None:
+            self.flush_hook(self, submitted, executed)
+        self._execute(executed)
+
+    def _execute(self, pending: list[_Entry]) -> None:
         t0 = time.perf_counter()
         try:
             self._flush_serial([c for c, _ in pending])
@@ -722,7 +690,7 @@ class KernelExecutor:
         KERNEL_OPS[call.op](self.context, *call.args)
 
     def _flush_serial(self, pending: list[KernelCall]) -> None:
-        """Submission order, with consecutive same-op runs batched."""
+        """Stream order, with consecutive same-op runs batched."""
         ctx = self.context
         n = len(pending)
         i = 0

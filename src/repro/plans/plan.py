@@ -16,7 +16,7 @@ its numerics:
 * **fusion** — maximal runs of consecutive same-wave, same-target
   ``syrk_sub``/``gemm_sub`` scatter calls collapse into one
   ``multi_update`` group.  The group executes its actions in the
-  original submission order, and fused members were *consecutive*, so
+  recorded stream order, and fused members were *consecutive*, so
   no other entry for the same buffer can fall between them;
 * **interning** — operand reference tuples and flat scatter-index
   arrays repeated across the stream are deduplicated by value, shrinking

@@ -4,11 +4,11 @@ The engine defers all numerics into the :class:`~repro.kernels.dispatch
 .KernelExecutor` and flushes once per run, announcing each flush to the
 session's ``_flush_hook`` before execution.  :class:`StreamRecorder`
 chains onto that hook for the duration of one (or more) runs and
-collects every flushed segment verbatim — the checkpointing runner may
-flush a run in several wave-frontier cuts, so segments concatenate in
-execution order.  Any previously-installed hook (the ``check_waves``
-verifier, mutation-test observers) keeps firing; recording is purely
-additive.
+collects every flushed segment in executed (canonical ``(wave, tid)``)
+order — the checkpointing runner may flush a run in several
+wave-frontier cuts, so segments concatenate in execution order.  Any
+previously-installed hook (the ``check_waves`` verifier, mutation-test
+observers) keeps firing; recording is purely additive.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ class StreamRecorder:
         self._prev = prev
 
         def hook(executor: Any,
-                 pending: list[tuple[KernelCall, int | None]]) -> None:
+                 submitted: list[tuple[KernelCall, int | None]],
+                 executed: list[tuple[KernelCall, int | None]]) -> None:
             if prev is not None:
-                prev(executor, pending)
-            self.segments.append(list(pending))
+                prev(executor, submitted, executed)
+            self.segments.append(list(executed))
 
         self.session._flush_hook = hook
         return self

@@ -42,11 +42,6 @@ class ResilienceOptions:
     max_restarts
         How many checkpoint restarts a single run may consume before a
         ``RankUnresponsive`` propagates to the caller.
-    canonical_flush
-        Execute deferred kernels in canonical ``(wave, task-id)`` order
-        for every run of the session (baseline and faulted alike), so
-        message timing cannot perturb scatter-add order and the factor
-        stays bit-identical across fault scenarios.
     """
 
     hardened: bool = True
@@ -60,7 +55,6 @@ class ResilienceOptions:
     seed: int = 0
     max_restarts: int = 2
     fault_runs: int = 1
-    canonical_flush: bool = True
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 0:

@@ -15,9 +15,11 @@ is an **attempt loop**:
   propagates to the caller (distinct CLI exit code / service event).
 
 Fault injection is scoped to the first ``fault_runs`` session runs (the
-factorization); later runs (triangular solves) execute fault-free but
-keep the canonical kernel order so the whole pipeline stays
-bit-identical to the fault-free baseline.
+factorization); later runs (triangular solves) execute fault-free.
+Every run, resilient or not, flushes its kernels in the canonical
+``(wave, tid)`` order of :class:`~repro.kernels.dispatch.KernelExecutor`,
+so message timing, retries and restarts cannot perturb scatter-add order
+and the whole pipeline stays bit-identical to the fault-free baseline.
 
 The happens-before tracer is finalized only for the *successful*
 attempt: an aborted world's undrained inboxes are a consequence of the
@@ -84,7 +86,6 @@ def run_resilient(session: ExecutionSession,
             world, graph, session.offload,
             scheduling=session.scheduling, trace=session.trace,
             flush_hook=session._flush_hook,
-            canonical=res.canonical_flush,
             checkpointer=checkpointer, resume=resume,
         )
         try:

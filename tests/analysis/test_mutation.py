@@ -53,6 +53,12 @@ class TestWavesSelftest:
         assert any(f.rule == "WAVE002"
                    for f in waves_report.injected_findings)
 
+    def test_late_submission_reported_by_session(self, waves_report):
+        # A live run submits one trsm_block past the last wave; the flush
+        # sorts it after its readers, so only the submitted stream the
+        # session verifies can show the inversion.
+        assert "WAVE002-late" not in waves_report.expect_rules
+
 
 class TestRacesSelftest:
     def test_passes(self, races_report):

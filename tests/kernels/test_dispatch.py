@@ -131,6 +131,22 @@ class TestKernelExecutor:
         assert trace.ops.calls[(1, "POTRF", "gpu")] == 1
         assert trace.ops.flops[(1, "POTRF", "gpu")] == 5.0
 
+    def test_flush_runs_in_wave_tid_order(self):
+        """The hook sees the stream as submitted and as executed."""
+        seen = []
+        ex = KernelExecutor(ExecContext(), flush_hook=lambda _ex, sub, run:
+                            seen.append((sub, run)))
+        calls = [KernelCall("noop") for _ in range(3)]
+        for tid, wave in ((2, 1), (1, 0), (0, 1)):
+            task = _FakeTask(calls[tid])
+            task.tid = tid
+            ex.submit(task, 0, "cpu", wave=wave)
+        ex.flush()
+        submitted, executed = seen[0]
+        assert all(c is calls[t] for t, (c, _w) in zip((2, 1, 0), submitted))
+        assert all(c is calls[t] for t, (c, _w) in zip((1, 0, 2), executed))
+        assert [w for _c, w in executed] == [0, 1, 1]
+
     def test_flush_clears_pending(self):
         ex = KernelExecutor(ExecContext())
         ex.submit(_FakeTask(KernelCall("noop")), 0, "cpu")

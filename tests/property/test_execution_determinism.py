@@ -1,7 +1,7 @@
 """Bit-identity of the batched flush against one-at-a-time execution.
 
-The deferred executor has one execution mode — submission order with
-consecutive same-op runs batched (stacked GEMM/SYRK products, batched
+The deferred executor has one execution mode — canonical ``(wave, tid)``
+order with consecutive same-op runs batched (stacked GEMM/SYRK products, batched
 diagonal factorizations) — and promises it is **bit-identical**
 (``np.array_equal``, not ``allclose``) to executing the same stream one
 call at a time through ``KernelExecutor.run_one`` over the per-op

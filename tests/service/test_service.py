@@ -15,7 +15,7 @@ import pytest
 
 from repro import ServiceConfig, SolveService, SolverOptions, SymPackSolver
 from repro.service import ServiceOverloaded
-from repro.sparse import grid_laplacian_2d, random_spd
+from repro.sparse import grid_laplacian_2d, random_spd, thermal_like
 
 OPTIONS = SolverOptions(nranks=2)
 
@@ -171,9 +171,10 @@ class TestResults:
 
 
 class TestCoalescing:
-    def _run_coalesced(self, max_coalesce: int):
+    def _run_coalesced(self, max_coalesce: int, a=None):
         """One slow leader, K same-factor followers queued behind it."""
-        a = random_spd(40, density=0.15, seed=9)
+        if a is None:
+            a = random_spd(40, density=0.15, seed=9)
         rhs = [_rhs(a, seed) for seed in range(5)]
         config = _fast_config(workers=1, max_coalesce=max_coalesce)
         svc = SolveService(OPTIONS, config)
@@ -194,12 +195,14 @@ class TestCoalescing:
         return svc, results
 
     def test_coalesced_solves_bit_identical_to_sequential(self):
-        a = random_spd(40, density=0.15, seed=9)
+        # Large and irregular enough that a strided or timing-ordered
+        # multi-column solve would round differently from a solo one.
+        a = thermal_like(800)
         solver = SymPackSolver(a, OPTIONS)
         solver.factorize()
         refs = [solver.solve(_rhs(a, seed))[0] for seed in range(5)]
 
-        svc, results = self._run_coalesced(max_coalesce=8)
+        svc, results = self._run_coalesced(max_coalesce=8, a=a)
         widths = [stats.coalesced_width for _, stats in results]
         assert max(widths) == 5          # all five rode one stacked solve
         assert svc.counters().coalesced_requests == 5
