@@ -1,11 +1,6 @@
 """Fill-reducing orderings: nested dissection, AMD, RCM (Scotch stand-ins)."""
 
-from .amd import (
-    amd_ordering,
-    amd_reference_ordering,
-    minimum_degree_order,
-    minimum_degree_order_reference,
-)
+from .amd import amd_ordering, minimum_degree_order
 from .base import ORDERINGS, compute_ordering, natural_ordering, register_ordering
 from .nested_dissection import NDOptions, nd_ordering, nested_dissection_order
 from .permutation import (
@@ -24,9 +19,7 @@ __all__ = [
     "natural_ordering",
     "register_ordering",
     "amd_ordering",
-    "amd_reference_ordering",
     "minimum_degree_order",
-    "minimum_degree_order_reference",
     "NDOptions",
     "nd_ordering",
     "nested_dissection_order",

@@ -5,19 +5,15 @@ Used directly on small problems and as the leaf ordering of the
 nested-dissection pipeline (mirroring how Scotch applies a local minimum
 degree variant below its dissection cut-off).
 
-Two implementations live here:
-
-* :func:`minimum_degree_order` — the production quotient-graph algorithm:
-  eliminated pivots become *elements* whose boundary lists stand in for
-  the elimination clique, elements reachable from the pivot are absorbed,
-  indistinguishable (twin) vertices are detected with an exact stamped
-  scan and mass-eliminated, and degrees start from a flat NumPy array.
-  It never materialises the elimination graph, so the O(clique^2) set
-  insertions of the reference are replaced by linear list scans.
-* :func:`minimum_degree_order_reference` — the original set-of-sets
-  implementation, retained verbatim (and registered as the
-  ``amd_reference`` ordering) as the bit-identity oracle for the
-  quotient-graph rewrite.
+:func:`minimum_degree_order` is a quotient-graph algorithm: eliminated
+pivots become *elements* whose boundary lists stand in for the
+elimination clique, elements reachable from the pivot are absorbed,
+indistinguishable (twin) vertices are detected with an exact stamped scan
+and mass-eliminated, and degrees start from a flat NumPy array.  It never
+materialises the elimination graph, so the O(clique^2) set insertions of
+the original set-of-sets implementation (the *reference*, kept as a test
+oracle in ``tests/oracles/ordering.py``) are replaced by linear list
+scans.
 
 Bit-identity is by construction, not by luck:
 
@@ -45,20 +41,15 @@ from ..sparse.graph import AdjacencyGraph
 from .base import register_ordering
 from .permutation import Permutation
 
-__all__ = [
-    "amd_ordering",
-    "amd_reference_ordering",
-    "minimum_degree_order",
-    "minimum_degree_order_reference",
-]
+__all__ = ["amd_ordering", "minimum_degree_order"]
 
 
 def minimum_degree_order(graph: AdjacencyGraph) -> np.ndarray:
     """Quotient-graph minimum-degree elimination order of ``graph``.
 
-    Bit-identical to :func:`minimum_degree_order_reference` (property
-    tests assert this across all generator families); see the module
-    docstring for why.
+    Bit-identical to the set-of-sets reference (property tests assert
+    this across all generator families); see the module docstring for
+    why.
     """
     n = graph.n
     order = np.empty(n, dtype=np.int64)
@@ -196,56 +187,8 @@ def minimum_degree_order(graph: AdjacencyGraph) -> np.ndarray:
     return order
 
 
-def minimum_degree_order_reference(graph: AdjacencyGraph) -> np.ndarray:
-    """Set-of-sets minimum-degree order (the retained reference).
-
-    Eliminating a vertex turns its neighbourhood into a clique; the next
-    pivot is always a vertex of (currently) minimal degree.  Ties break by
-    vertex index for determinism.
-    """
-    n = graph.n
-    adj: list[set[int]] = [set(int(u) for u in graph.neighbors(v)) for v in range(n)]
-    eliminated = np.zeros(n, dtype=bool)
-    heap: list[tuple[int, int]] = [(len(adj[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    order = np.empty(n, dtype=np.int64)
-
-    for pos in range(n):
-        while True:
-            deg, v = heapq.heappop(heap)
-            if not eliminated[v] and deg == len(adj[v]):
-                break
-        order[pos] = v
-        eliminated[v] = True
-        nbrs = adj[v]
-        for u in nbrs:
-            adj[u].discard(v)
-        # Form the elimination clique among surviving neighbours.
-        nbr_list = sorted(nbrs)
-        for i, u in enumerate(nbr_list):
-            new = adj[u]
-            before = len(new)
-            for w in nbr_list[i + 1 :]:
-                if w not in new:
-                    new.add(w)
-                    adj[w].add(u)
-            if len(new) != before:
-                heapq.heappush(heap, (len(new), u))
-        for u in nbr_list:
-            heapq.heappush(heap, (len(adj[u]), u))
-        adj[v] = set()
-    return order
-
-
 @register_ordering("amd")
 def amd_ordering(a: SymmetricCSC) -> Permutation:
     """Minimum-degree fill-reducing ordering of a symmetric matrix."""
     graph = AdjacencyGraph.from_symmetric(a)
     return Permutation(minimum_degree_order(graph))
-
-
-@register_ordering("amd_reference")
-def amd_reference_ordering(a: SymmetricCSC) -> Permutation:
-    """The retained set-of-sets minimum degree (bit-identity oracle)."""
-    graph = AdjacencyGraph.from_symmetric(a)
-    return Permutation(minimum_degree_order_reference(graph))

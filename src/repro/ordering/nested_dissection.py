@@ -15,13 +15,12 @@ feeds on.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..sparse.csc import SymmetricCSC
-from ..sparse.graph import AdjacencyGraph, bfs_levels, pseudo_peripheral_vertex
+from ..sparse.graph import AdjacencyGraph, connected_components, peripheral_level_structure
 from .amd import minimum_degree_order
 from .base import register_ordering
 from .permutation import Permutation
@@ -51,17 +50,16 @@ def _level_separator(graph: AdjacencyGraph, opts: NDOptions) -> tuple[np.ndarray
 
     Chooses the thinnest BFS level near the middle of a level structure
     rooted at a pseudo-peripheral vertex.  Falls back to an empty separator
-    when the graph has too few levels to split.
+    when the graph has too few levels to split.  All three parts come out
+    sorted by vertex id.
     """
-    root = pseudo_peripheral_vertex(graph, 0)
-    level, levels = bfs_levels(graph, root)
+    _, level, levels = peripheral_level_structure(graph, 0)
     nlev = len(levels)
-    # Vertices unreachable from the root (the graph may have been
-    # disconnected by a previous separator removal): they can join either
-    # part safely; put them with part_a.
-    unreachable = np.flatnonzero(level < 0)
+    # Vertices unreachable from the root (level -1: the graph may have
+    # been disconnected by a previous separator removal) can join either
+    # part safely; they go with part_a.
     if nlev < 3:
-        return unreachable, np.empty(0, np.int64), np.flatnonzero(level >= 0)
+        return np.flatnonzero(level < 0), np.empty(0, np.int64), np.flatnonzero(level >= 0)
 
     mid = nlev // 2
     radius = max(1, int(opts.balance_window * nlev / 2))
@@ -69,74 +67,45 @@ def _level_separator(graph: AdjacencyGraph, opts: NDOptions) -> tuple[np.ndarray
     hi = min(nlev - 1, mid + radius + 1)
     candidates = range(lo, hi)
     sep_level = min(candidates, key=lambda d: (levels[d].size, abs(d - mid)))
-
-    separator = levels[sep_level]
-    part_a = np.concatenate(
-        [levels[d] for d in range(sep_level)] + [unreachable]
-    )
-    below = [levels[d] for d in range(sep_level + 1, nlev)]
-    part_b = np.concatenate(below) if below else np.empty(0, np.int64)
-    return np.sort(part_a), np.sort(part_b), np.sort(separator)
-
-
-MDCallable = Callable[[AdjacencyGraph], np.ndarray]
+    return (np.flatnonzero(level < sep_level), np.flatnonzero(level > sep_level),
+            levels[sep_level])
 
 
 def _nd_recurse(graph: AdjacencyGraph, vertices: np.ndarray, opts: NDOptions,
-                out: list[int], md: MDCallable) -> None:
+                out: list[np.ndarray]) -> None:
     """Append the nested-dissection order of ``graph`` (global ids) to ``out``."""
     if graph.n == 0:
         return
     if graph.n <= opts.leaf_size:
-        local = md(graph)
-        out.extend(int(vertices[v]) for v in local)
+        out.append(vertices[minimum_degree_order(graph)])
         return
 
     part_a, part_b, separator = _level_separator(graph, opts)
     if part_a.size == 0 or part_b.size == 0:
         # Could not split (e.g. path-like or clique-like graph): fall back.
-        local = md(graph)
-        out.extend(int(vertices[v]) for v in local)
+        out.append(vertices[minimum_degree_order(graph)])
         return
 
     for part in (part_a, part_b):
         sub, sub_vertices = graph.subgraph(part)
-        _nd_recurse(sub, vertices[sub_vertices], opts, out, md)
+        _nd_recurse(sub, vertices[sub_vertices], opts, out)
     # Separator last: its columns are eliminated after both halves.
-    out.extend(int(vertices[v]) for v in separator)
+    out.append(vertices[separator])
 
 
-def nested_dissection_order(a: SymmetricCSC, opts: NDOptions | None = None,
-                            md: MDCallable | None = None) -> np.ndarray:
+def nested_dissection_order(a: SymmetricCSC, opts: NDOptions | None = None) -> np.ndarray:
     """Nested-dissection elimination order for ``a`` (all components).
 
-    ``md`` selects the leaf minimum-degree implementation; the default is
-    the fast quotient-graph one.  Benchmarks and property tests pass
-    :func:`~repro.ordering.amd.minimum_degree_order_reference` here to
-    time/validate the full reference cold path.
+    Components are dissected one after another, in the order of their
+    smallest vertex.
     """
     opts = opts or NDOptions()
-    md = md or minimum_degree_order
     graph = AdjacencyGraph.from_symmetric(a)
-    seen = np.zeros(graph.n, dtype=bool)
-    order: list[int] = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        # Collect the component containing `start`.
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in graph.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
-        comp_arr = np.asarray(sorted(comp), dtype=np.int64)
-        sub, sub_vertices = graph.subgraph(comp_arr)
-        _nd_recurse(sub, comp_arr, opts, order, md)
-    return np.asarray(order, dtype=np.int64)
+    out: list[np.ndarray] = []
+    for comp in connected_components(graph):
+        sub, _ = graph.subgraph(comp)
+        _nd_recurse(sub, comp, opts, out)
+    return np.concatenate(out) if out else np.empty(0, np.int64)
 
 
 @register_ordering("nd")

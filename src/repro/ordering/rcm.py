@@ -17,26 +17,32 @@ __all__ = ["rcm_ordering"]
 
 
 def _cuthill_mckee(graph: AdjacencyGraph) -> np.ndarray:
-    """Cuthill-McKee order over all components (deterministic)."""
+    """Cuthill-McKee order over all components (deterministic).
+
+    ``order`` doubles as the BFS queue: ``order[head:tail]`` holds the
+    visited vertices still to be expanded.
+    """
     n = graph.n
     order = np.empty(n, dtype=np.int64)
     visited = np.zeros(n, dtype=bool)
     degs = graph.degrees()
-    pos = 0
+    head = tail = 0
     for start in np.argsort(degs, kind="stable"):
         if visited[start]:
             continue
         root = pseudo_peripheral_vertex(graph, int(start))
-        queue = [root]
         visited[root] = True
-        while queue:
-            v = queue.pop(0)
-            order[pos] = v
-            pos += 1
+        order[tail] = root
+        tail += 1
+        while head < tail:
+            v = order[head]
+            head += 1
             nbrs = graph.neighbors(v)
             nbrs = nbrs[~visited[nbrs]]
             visited[nbrs] = True
-            queue.extend(int(u) for u in nbrs[np.argsort(degs[nbrs], kind="stable")])
+            nbrs = nbrs[np.argsort(degs[nbrs], kind="stable")]
+            order[tail:tail + nbrs.size] = nbrs
+            tail += nbrs.size
     return order
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..sparse.csc import SymmetricCSC
 from .base import register_ordering
-from .nested_dissection import MDCallable, NDOptions, nested_dissection_order
+from .nested_dissection import NDOptions, nested_dissection_order
 from .permutation import Permutation
 
 __all__ = ["ScotchLikeOptions", "scotch_like_ordering"]
@@ -42,12 +42,7 @@ class ScotchLikeOptions:
 
 @register_ordering("scotch_like")
 def scotch_like_ordering(a: SymmetricCSC,
-                         opts: ScotchLikeOptions | None = None,
-                         md: MDCallable | None = None) -> Permutation:
-    """Nested dissection with minimum-degree leaves (Scotch stand-in).
-
-    ``md`` overrides the leaf minimum-degree implementation (used by the
-    cold-start benchmark to time the retained reference pipeline).
-    """
+                         opts: ScotchLikeOptions | None = None) -> Permutation:
+    """Nested dissection with minimum-degree leaves (Scotch stand-in)."""
     opts = opts or ScotchLikeOptions()
-    return Permutation(nested_dissection_order(a, opts.to_nd(), md=md))
+    return Permutation(nested_dissection_order(a, opts.to_nd()))

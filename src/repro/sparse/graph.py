@@ -5,14 +5,23 @@ undirected adjacency graph of the matrix: vertex ``i`` is adjacent to ``j``
 iff ``a_ij != 0`` for ``i != j``.  This module provides a compact CSR-style
 adjacency structure plus traversal helpers (BFS levels, connected
 components, pseudo-peripheral vertices) used by several orderings.
+
+Every helper is a whole-array operation: traversals run in
+:mod:`scipy.sparse.csgraph` on a CSR matrix that each graph builds once,
+and induced subgraphs are gathered from CSR row ranges.
+Results are ordered exactly as the per-vertex formulations ordered them
+(levels and components sorted by vertex id, components by their smallest
+vertex), so the orderings built on top are unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .csc import SymmetricCSC, expand_symmetric
 
@@ -20,6 +29,7 @@ __all__ = [
     "AdjacencyGraph",
     "bfs_levels",
     "connected_components",
+    "peripheral_level_structure",
     "pseudo_peripheral_vertex",
 ]
 
@@ -58,6 +68,16 @@ class AdjacencyGraph:
         """Number of vertices."""
         return self.indptr.size - 1
 
+    @cached_property
+    def csr(self) -> sp.csr_matrix:
+        """Unit-weight CSR matrix of the graph (built on first use, then cached).
+
+        The input of every :mod:`scipy.sparse.csgraph` traversal below.
+        """
+        return sp.csr_matrix(
+            (np.ones(self.indices.size), self.indices, self.indptr),
+            shape=(self.n, self.n))
+
     def degree(self, v: int) -> int:
         """Degree of vertex ``v``."""
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -74,71 +94,89 @@ class AdjacencyGraph:
         """Induced subgraph on ``vertices``.
 
         Returns the subgraph and the vertex list (mapping local -> global).
-        Local vertex ``i`` corresponds to global vertex ``vertices[i]``.
+        Local vertex ``i`` corresponds to global vertex ``vertices[i]``;
+        each local adjacency list is sorted, whatever the order of
+        ``vertices``.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
+        k = vertices.size
         local = np.full(self.n, -1, dtype=np.int64)
-        local[vertices] = np.arange(vertices.size)
-        indptr = [0]
-        indices: list[int] = []
-        for v in vertices:
-            nbrs = local[self.neighbors(v)]
-            nbrs = nbrs[nbrs >= 0]
-            indices.extend(int(u) for u in np.sort(nbrs))
-            indptr.append(len(indices))
-        return (
-            AdjacencyGraph(
-                indptr=np.asarray(indptr, dtype=np.int64),
-                indices=np.asarray(indices, dtype=np.int64),
-            ),
-            vertices,
-        )
+        local[vertices] = np.arange(k)
+        # Gather the CSR row ranges of `vertices` back to back: output
+        # slot j of row i reads input slot j + starts[i] - (row i's offset).
+        starts = self.indptr[vertices]
+        lens = self.indptr[vertices + 1] - starts
+        ends = np.cumsum(lens)
+        pos = np.arange(ends[-1] if k else 0) + np.repeat(starts - (ends - lens), lens)
+        row = np.repeat(np.arange(k), lens)
+        col = local[self.indices[pos]]
+        inside = col >= 0
+        row, col = row[inside], col[inside]
+        col = col[np.lexsort((col, row))]
+        indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=k), out=indptr[1:])
+        return AdjacencyGraph(indptr=indptr, indices=col), vertices
 
 
 def bfs_levels(graph: AdjacencyGraph, root: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Breadth-first level structure rooted at ``root``.
 
     Returns ``(level, levels)`` where ``level[v]`` is the BFS depth of ``v``
-    (-1 if unreachable) and ``levels[d]`` lists the vertices at depth ``d``.
+    (-1 if unreachable) and ``levels[d]`` lists the vertices at depth ``d``
+    in ascending order.  Unreachable vertices appear in no level.
     """
+    order, parent = csgraph.breadth_first_order(
+        graph.csr, root, directed=True, return_predecessors=True)
+    # `order` is FIFO discovery order: each level is a run of it, and the
+    # queue positions of the vertices' BFS parents never decrease along
+    # it, so level d + 1 ends just after the last vertex whose parent
+    # lies in level d.
+    pos = np.empty(graph.n, dtype=np.int64)
+    pos[order] = np.arange(order.size)
+    parent_pos = pos[parent[order[1:]]]
+    bounds = [0, 1]
+    while bounds[-1] < order.size:
+        bounds.append(int(np.searchsorted(parent_pos, bounds[-1])) + 1)
     level = np.full(graph.n, -1, dtype=np.int64)
-    level[root] = 0
-    frontier = np.asarray([root], dtype=np.int64)
-    levels = [frontier]
-    depth = 0
-    while frontier.size:
-        nxt: list[int] = []
-        for v in frontier:
-            for u in graph.neighbors(v):
-                if level[u] < 0:
-                    level[u] = depth + 1
-                    nxt.append(int(u))
-        frontier = np.asarray(sorted(set(nxt)), dtype=np.int64)
-        if frontier.size:
-            levels.append(frontier)
-        depth += 1
-    return level, levels
+    level[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    return level, [np.sort(order[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def connected_components(graph: AdjacencyGraph) -> list[np.ndarray]:
-    """Connected components as sorted vertex arrays (deterministic order)."""
-    seen = np.zeros(graph.n, dtype=bool)
-    components: list[np.ndarray] = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in graph.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
-        components.append(np.asarray(sorted(comp), dtype=np.int64))
-    return components
+    """Connected components as sorted vertex arrays, ordered by smallest vertex."""
+    if graph.n == 0:
+        return []
+    ncomp, labels = csgraph.connected_components(graph.csr, directed=False)
+    # Renumber components by their smallest vertex, then group stably.
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty(ncomp, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(ncomp)
+    key = rank[labels]
+    members = np.argsort(key, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(key)).tolist()]
+    return [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def peripheral_level_structure(graph: AdjacencyGraph, start: int
+                               ) -> tuple[int, np.ndarray, list[np.ndarray]]:
+    """Pseudo-peripheral vertex and its BFS level structure (George-Liu sweep).
+
+    Starting from ``start``, repeatedly re-roots at the minimum-degree
+    vertex of the deepest level (first in id order on ties) until the
+    eccentricity stops growing.  Returns ``(root, level, levels)`` with
+    ``(level, levels) == bfs_levels(graph, root)``, so callers that need
+    the root's level structure do not traverse again.
+    """
+    degrees = graph.degrees()
+    root = start
+    level, levels = bfs_levels(graph, root)
+    while True:
+        last = levels[-1]
+        candidate = int(last[np.argmin(degrees[last])])
+        c_level, c_levels = bfs_levels(graph, candidate)
+        if len(c_levels) <= len(levels):
+            return root, level, levels
+        root, level, levels = candidate, c_level, c_levels
 
 
 def pseudo_peripheral_vertex(graph: AdjacencyGraph, start: int) -> int:
@@ -147,15 +185,4 @@ def pseudo_peripheral_vertex(graph: AdjacencyGraph, start: int) -> int:
     Used to pick good roots for level-set separators and RCM: a vertex at
     (approximately) maximal eccentricity within its component.
     """
-    v = start
-    _, levels = bfs_levels(graph, v)
-    ecc = len(levels) - 1
-    while True:
-        last = levels[-1]
-        degs = np.asarray([graph.degree(int(u)) for u in last])
-        candidate = int(last[int(np.argmin(degs))])
-        _, levels = bfs_levels(graph, candidate)
-        new_ecc = len(levels) - 1
-        if new_ecc <= ecc:
-            return v
-        v, ecc = candidate, new_ecc
+    return peripheral_level_structure(graph, start)[0]

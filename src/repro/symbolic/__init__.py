@@ -1,7 +1,7 @@
 """Symbolic factorization: etree, structures, supernodes, blocks."""
 
-from .analysis import SymbolicAnalysis, analyze, analyze_reference
-from .blocks import Block, BlockPartition, partition_blocks, partition_blocks_reference
+from .analysis import SymbolicAnalysis, analyze
+from .blocks import Block, BlockPartition, partition_blocks
 from .cache import AnalysisCache
 from .etree import (
     children_lists,
@@ -15,26 +15,18 @@ from .colcounts import column_counts_gnp
 from .structure import (
     SymbolicL,
     column_counts,
-    column_structures,
     column_structures_flat,
     factor_nnz,
 )
-from .supernodes import (
-    AmalgamationOptions,
-    SupernodePartition,
-    detect_supernodes,
-    detect_supernodes_reference,
-)
+from .supernodes import AmalgamationOptions, SupernodePartition, detect_supernodes
 
 __all__ = [
     "AnalysisCache",
     "SymbolicAnalysis",
     "analyze",
-    "analyze_reference",
     "Block",
     "BlockPartition",
     "partition_blocks",
-    "partition_blocks_reference",
     "children_lists",
     "elimination_tree",
     "first_descendants",
@@ -44,11 +36,9 @@ __all__ = [
     "SymbolicL",
     "column_counts",
     "column_counts_gnp",
-    "column_structures",
     "column_structures_flat",
     "factor_nnz",
     "AmalgamationOptions",
     "SupernodePartition",
     "detect_supernodes",
-    "detect_supernodes_reference",
 ]

@@ -16,16 +16,11 @@ import numpy as np
 from ..ordering.base import compute_ordering
 from ..ordering.permutation import Permutation
 from ..sparse.csc import SymmetricCSC
-from .blocks import BlockPartition, partition_blocks, partition_blocks_reference
+from .blocks import BlockPartition, partition_blocks
 from .structure import SymbolicL
-from .supernodes import (
-    AmalgamationOptions,
-    SupernodePartition,
-    detect_supernodes,
-    detect_supernodes_reference,
-)
+from .supernodes import AmalgamationOptions, SupernodePartition, detect_supernodes
 
-__all__ = ["SymbolicAnalysis", "analyze", "analyze_reference", "rebind_analysis_values"]
+__all__ = ["SymbolicAnalysis", "analyze", "rebind_analysis_values"]
 
 
 @dataclass
@@ -141,54 +136,6 @@ def analyze(
     amalg = amalgamation if amalgamation is not None else AmalgamationOptions()
     supernodes = detect_supernodes(symbolic, amalg)
     blocks = partition_blocks(supernodes)
-    t3 = time.perf_counter()
-    phases = {"ordering": t1 - t0, "symbolic": t2 - t1, "blocks": t3 - t2}
-    return SymbolicAnalysis(a_perm=a_perm, perm=perm, symbolic=symbolic,
-                            supernodes=supernodes, blocks=blocks,
-                            phase_seconds=phases)
-
-
-def analyze_reference(
-    a: SymmetricCSC,
-    ordering: str | Permutation = "scotch_like",
-    amalgamation: AmalgamationOptions | None = None,
-) -> SymbolicAnalysis:
-    """The retained-reference cold path, phase for phase.
-
-    Runs the same pipeline as :func:`analyze` but through the reference
-    implementations of every accelerated stage: set-of-sets minimum
-    degree at the ordering leaves, the subtree-merge column structures,
-    the per-column supernode build and O(nsup²) regroup, and the
-    per-supernode block loop.  Property tests and the cold-start
-    benchmark compare/time :func:`analyze` against this.
-    """
-    from ..ordering.amd import minimum_degree_order_reference
-    from ..ordering.nested_dissection import NDOptions, nested_dissection_order
-    from ..ordering.scotch_like import ScotchLikeOptions
-
-    t0 = time.perf_counter()
-    if isinstance(ordering, Permutation):
-        perm = ordering
-    elif ordering == "scotch_like":
-        order = nested_dissection_order(a, ScotchLikeOptions().to_nd(),
-                                        md=minimum_degree_order_reference)
-        perm = Permutation(order)
-    elif ordering == "nd":
-        order = nested_dissection_order(a, NDOptions(),
-                                        md=minimum_degree_order_reference)
-        perm = Permutation(order)
-    elif ordering in ("amd", "amd_reference"):
-        perm = compute_ordering(a, "amd_reference")
-    else:
-        perm = compute_ordering(a, ordering)
-    a_perm = a.permuted(perm.perm)
-
-    t1 = time.perf_counter()
-    symbolic = SymbolicL(a_perm.lower, method="reference")
-    t2 = time.perf_counter()
-    amalg = amalgamation if amalgamation is not None else AmalgamationOptions()
-    supernodes = detect_supernodes_reference(symbolic, amalg)
-    blocks = partition_blocks_reference(supernodes)
     t3 = time.perf_counter()
     phases = {"ordering": t1 - t0, "symbolic": t2 - t1, "blocks": t3 - t2}
     return SymbolicAnalysis(a_perm=a_perm, perm=perm, symbolic=symbolic,

@@ -10,9 +10,8 @@ Blocks are the unit of computation (one dense BLAS-3 call each) and of
 communication (one message each) in the fan-out algorithm.
 
 :func:`partition_blocks` computes every supernode's run boundaries in one
-vectorised pass over the concatenated structures;
-:func:`partition_blocks_reference` retains the original per-supernode loop
-as the bit-identity oracle.
+vectorised pass over the concatenated structures (the original
+per-supernode loop is kept as a bit-identity test oracle).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .supernodes import SupernodePartition
 
-__all__ = ["Block", "BlockPartition", "partition_blocks", "partition_blocks_reference"]
+__all__ = ["Block", "BlockPartition", "partition_blocks"]
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ class BlockPartition:
         """The block of supernode ``k`` targeting supernode ``tgt``.
 
         Backed by a ``(src, tgt)`` dictionary built on first use — the
-        runtime calls this per update message, so the reference's linear
+        runtime calls this per update message, so a linear
         scan over ``blocks[k]`` was quadratic in dense spots.
         """
         if self._index is None:
@@ -147,24 +146,4 @@ def partition_blocks(part: SupernodePartition) -> BlockPartition:
     for k, t, o, m in zip(src.tolist(), tgt.tolist(),
                           offset.tolist(), nrows.tolist()):
         blocks[k].append(Block(src=k, tgt=t, rows=structs[k][o:o + m], offset=o))
-    return BlockPartition(part=part, blocks=blocks)
-
-
-def partition_blocks_reference(part: SupernodePartition) -> BlockPartition:
-    """The retained per-supernode loop (bit-identity oracle)."""
-    blocks: list[list[Block]] = []
-    sn_of_col = part.sn_of_col
-    for k in range(part.nsup):
-        struct = part.structs[k]
-        out: list[Block] = []
-        if struct.size:
-            owner = sn_of_col[struct]
-            # Run boundaries where the owning supernode changes.
-            cut = np.flatnonzero(np.diff(owner)) + 1
-            starts = np.concatenate([[0], cut])
-            ends = np.concatenate([cut, [struct.size]])
-            for s, e in zip(starts, ends):
-                out.append(Block(src=k, tgt=int(owner[s]),
-                                 rows=struct[s:e], offset=int(s)))
-        blocks.append(out)
     return BlockPartition(part=part, blocks=blocks)

@@ -1,24 +1,18 @@
 """Column structures of the Cholesky factor.
 
 Computes, for every column ``j``, the sorted row indices of the nonzeros of
-``L[:, j]`` (diagonal included).  Two algorithms are kept:
+``L[:, j]`` (diagonal included).
 
-* :func:`column_structures_flat` — the production path.  One row walk per
-  nonzero of ``A``: row ``i`` is appended to every column on the etree
-  path from each ``a_ij != 0`` up toward ``i`` (the *row subtree* of
-  ``i``), deduplicated with an ``O(n)`` mark array.  Total work is
-  ``O(nnz(L))`` native-int operations, the output is a CSR-style pair of
-  flat ``(struct_ptr, struct_rows)`` arrays preallocated from the
-  Gilbert-Ng-Peyton column counts — no per-column Python lists.
-* :func:`column_structures` — the retained reference: a subtree merge
-
-      struct(j) = rows(A[j:, j])  ∪  {j}  ∪  ( struct(c) \\ {c}  for children c )
-
-  materialised with one ``np.unique``/``np.concatenate`` per column.
-
-Both produce identical structures (the flat path cross-validates its fill
-pointers against the independently derived Gilbert-Ng-Peyton counts on
-every call); property tests assert bit-identity.
+:func:`column_structures_flat` does one row walk per nonzero of ``A``: row
+``i`` is appended to every column on the etree path from each
+``a_ij != 0`` up toward ``i`` (the *row subtree* of ``i``), deduplicated
+with an ``O(n)`` mark array.  Total work is ``O(nnz(L))`` native-int
+operations, the output is a CSR-style pair of flat
+``(struct_ptr, struct_rows)`` arrays preallocated from the
+Gilbert-Ng-Peyton column counts — no per-column Python lists.  The walk
+cross-validates its fill pointers against those independently derived
+counts on every call; property tests assert bit-identity with the
+original subtree merge (kept as a test oracle).
 """
 
 from __future__ import annotations
@@ -27,12 +21,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .colcounts import column_counts_gnp
-from .etree import children_lists, elimination_tree
+from .etree import elimination_tree
 
 __all__ = [
     "SymbolicL",
     "column_counts",
-    "column_structures",
     "column_structures_flat",
     "factor_nnz",
 ]
@@ -47,7 +40,7 @@ def column_structures_flat(
 
     ``struct_rows[struct_ptr[j]:struct_ptr[j + 1]]`` holds the sorted
     nonzero row indices of ``L[:, j]`` (diagonal included) — bit-identical
-    to the per-column arrays of :func:`column_structures`.
+    to the original per-column subtree merge.
 
     Parameters
     ----------
@@ -101,40 +94,6 @@ def column_structures_flat(
     return struct_ptr, np.asarray(rows, dtype=np.int64)
 
 
-def column_structures(
-    lower: sp.csc_matrix, parent: np.ndarray | None = None
-) -> list[np.ndarray]:
-    """Sorted nonzero row indices of every column of ``L`` (reference).
-
-    The retained subtree-merge implementation; the production path is
-    :func:`column_structures_flat`.
-
-    Parameters
-    ----------
-    lower:
-        Lower triangle of the symmetric input matrix (canonical CSC).
-    parent:
-        Optional precomputed elimination tree.
-    """
-    lower = sp.csc_matrix(lower)
-    n = lower.shape[0]
-    if parent is None:
-        parent = elimination_tree(lower)
-    kids = children_lists(parent)
-    structs: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
-    indptr, indices = lower.indptr, lower.indices
-    for j in range(n):
-        pieces = [np.asarray([j], dtype=np.int64)]
-        a_rows = indices[indptr[j] : indptr[j + 1]]
-        pieces.append(a_rows[a_rows > j].astype(np.int64))
-        for c in kids[j]:
-            child = structs[c]
-            pieces.append(child[child > j])
-        merged = np.unique(np.concatenate(pieces))
-        structs[j] = merged
-    return structs
-
-
 def column_counts(lower: sp.csc_matrix, parent: np.ndarray | None = None) -> np.ndarray:
     """Nonzero count of every column of ``L`` (diagonal included)."""
     ptr, _ = column_structures_flat(lower, parent)
@@ -159,28 +118,15 @@ class SymbolicL:
     partitioning) do not recompute the structure pass.  The structures
     live in flat ``(struct_ptr, struct_rows)`` arrays; ``structs`` holds
     per-column views into them for consumers indexed by column.
-
-    ``method`` selects the structure algorithm: ``"flat"`` (default, the
-    row-walk production path) or ``"reference"`` (the retained subtree
-    merge) — both bit-identical.
     """
 
-    def __init__(self, lower: sp.csc_matrix, *, method: str = "flat"):
+    def __init__(self, lower: sp.csc_matrix):
         self.lower = sp.csc_matrix(lower)
         self.n = self.lower.shape[0]
         self.parent = elimination_tree(self.lower)
-        if method == "flat":
-            self.struct_ptr, self.struct_rows = column_structures_flat(
-                self.lower, self.parent)
-            self.structs = _struct_views(self.struct_ptr, self.struct_rows)
-        elif method == "reference":
-            self.structs = column_structures(self.lower, self.parent)
-            self.struct_ptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum([s.size for s in self.structs], out=self.struct_ptr[1:])
-            self.struct_rows = (np.concatenate(self.structs)
-                                if self.structs else np.empty(0, np.int64))
-        else:
-            raise ValueError(f"unknown symbolic method {method!r}")
+        self.struct_ptr, self.struct_rows = column_structures_flat(
+            self.lower, self.parent)
+        self.structs = _struct_views(self.struct_ptr, self.struct_rows)
         self.counts = np.diff(self.struct_ptr)
 
     @classmethod

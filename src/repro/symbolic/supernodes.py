@@ -13,17 +13,17 @@ supernodal-solver knob the paper's block partitioning builds upon.
 
 The production helpers here are vectorised over the flat
 ``(struct_ptr, struct_rows)`` arrays of :class:`~repro.symbolic.structure.
-SymbolicL`; the original per-column loops are retained as
-``*_reference`` bit-identity oracles.  Two structural facts make the fast
-path exact rather than approximate:
+SymbolicL`; the original per-column loops are kept as bit-identity test
+oracles.  Two structural facts make the vectorised path exact rather than
+approximate:
 
 * within a fundamental supernode ``[f..lc]``, ``struct(f)`` is exactly
   ``{f..lc}`` followed by the supernode's off-diagonal rows, so the
   member union is one slice of column ``f``'s structure — no per-member
   union needed; and
 * a fundamental partition introduces exactly zero explicit zeros (each
-  member's structure nests perfectly), so the zero-counting pass of the
-  reference is skipped outright.
+  member's structure nests perfectly), so the original zero-counting pass
+  is skipped outright.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "AmalgamationOptions",
     "SupernodePartition",
     "detect_supernodes",
-    "detect_supernodes_reference",
 ]
 
 
@@ -152,16 +151,6 @@ def _fundamental_boundaries(sym: SymbolicL) -> np.ndarray:
     return new
 
 
-def _fundamental_boundaries_reference(sym: SymbolicL) -> np.ndarray:
-    """Per-column loop version of :func:`_fundamental_boundaries` (oracle)."""
-    n = sym.n
-    new = np.ones(n, dtype=bool)
-    for j in range(1, n):
-        if sym.parent[j - 1] == j and sym.counts[j - 1] == sym.counts[j] + 1:
-            new[j] = False
-    return new
-
-
 def _build_partition(sym: SymbolicL, new_mask: np.ndarray) -> SupernodePartition:
     """Assemble a partition from *fundamental* start-of-supernode flags.
 
@@ -170,7 +159,7 @@ def _build_partition(sym: SymbolicL, new_mask: np.ndarray) -> SupernodePartition
     exactly the supernode's off-diagonal union, so each supernode's rows
     are one slice of the flat structure arrays and no explicit zeros ever
     arise.  ``new_mask`` must therefore describe a fundamental partition
-    (the general-mask oracle is :func:`_build_partition_reference`).
+    (the general-mask original is kept as a test oracle).
     """
     n = sym.n
     starts = np.flatnonzero(new_mask)
@@ -193,43 +182,6 @@ def _build_partition(sym: SymbolicL, new_mask: np.ndarray) -> SupernodePartition
                               zeros_introduced=0)
 
 
-def _build_partition_reference(sym: SymbolicL, new_mask: np.ndarray) -> SupernodePartition:
-    """Per-column partition assembly for an arbitrary mask (oracle)."""
-    n = sym.n
-    starts = np.flatnonzero(new_mask)
-    sn_start = np.append(starts, n).astype(np.int64)
-    sn_of_col = np.empty(n, dtype=np.int64)
-    nsup = starts.size
-    for s in range(nsup):
-        sn_of_col[sn_start[s] : sn_start[s + 1]] = s
-
-    structs: list[np.ndarray] = []
-    zeros = 0
-    for s in range(nsup):
-        lc = sn_start[s + 1] - 1
-        pieces = [st[st > lc] for st in
-                  (sym.structs[j] for j in range(sn_start[s], sn_start[s + 1]))]
-        union = np.unique(np.concatenate(pieces)) if pieces else np.empty(0, np.int64)
-        structs.append(union.astype(np.int64))
-        # Explicit zeros: panel cells present in the union but absent from a
-        # member column's true structure.
-        width = int(sn_start[s + 1] - sn_start[s])
-        true_offdiag = sum(p.size for p in pieces)
-        zeros += union.size * width - true_offdiag
-        # Dense triangle zeros inside the diagonal block:
-        for j in range(sn_start[s], sn_start[s + 1]):
-            in_block = sym.structs[j][(sym.structs[j] >= j) & (sym.structs[j] <= lc)]
-            zeros += (lc - j + 1) - in_block.size
-
-    parent_sn = np.full(nsup, -1, dtype=np.int64)
-    for s in range(nsup):
-        if structs[s].size:
-            parent_sn[s] = sn_of_col[structs[s][0]]
-    return SupernodePartition(sn_start=sn_start, sn_of_col=sn_of_col,
-                              structs=structs, parent_sn=parent_sn,
-                              zeros_introduced=int(zeros))
-
-
 def _entries(width: int, nrows: int) -> int:
     """Stored entries of a ``width``-column panel with ``nrows`` off-diag rows."""
     return width * (width + 1) // 2 + nrows * width
@@ -241,7 +193,7 @@ def _amalgamate(fund: SupernodePartition, opts: AmalgamationOptions) -> tuple[np
     Returns the kept-start mask over fundamental supernodes and the
     explicit-zero total.  Scoring runs on flat width/size arrays; the
     running union stays a sorted array sliced by ``searchsorted`` (the
-    structures are sorted, so the slice equals the reference's boolean
+    structures are sorted, so the slice equals the original's boolean
     filter).
     """
     widths = np.diff(fund.sn_start).tolist()
@@ -285,7 +237,7 @@ def _regroup(fund: SupernodePartition, keep_start: np.ndarray, n: int,
 
     Group membership is recovered with two ``searchsorted`` passes
     (fundamental supernodes fall in contiguous runs per group) instead of
-    the reference's O(nsup²) member scan; single-member groups reuse the
+    the original O(nsup²) member scan; single-member groups reuse the
     fundamental structure array outright.
     """
     starts = fund.sn_start[:-1][keep_start]
@@ -335,71 +287,3 @@ def detect_supernodes(
         return fund
     keep_start, total_zeros = _amalgamate(fund, opts)
     return _regroup(fund, keep_start, sym.n, total_zeros)
-
-
-def detect_supernodes_reference(
-    sym: SymbolicL, amalgamation: AmalgamationOptions | None = None
-) -> SupernodePartition:
-    """The retained per-column/per-supernode loop pipeline (oracle).
-
-    Bit-identical to :func:`detect_supernodes`; used by property tests and
-    the cold-start benchmark's reference timing.
-    """
-    opts = amalgamation or AmalgamationOptions(enabled=False)
-    fund = _build_partition_reference(sym, _fundamental_boundaries_reference(sym))
-    if not opts.enabled or fund.nsup <= 1:
-        return fund
-
-    keep_start = np.ones(fund.nsup, dtype=bool)  # group boundaries to keep
-    cur_width = fund.width(0)
-    cur_struct = fund.structs[0]
-    cur_exact = _entries(cur_width, cur_struct.size)
-    total_zeros = 0
-    for s in range(1, fund.nsup):
-        lc_s = fund.last_col(s)
-        mergeable = (
-            cur_struct.size > 0
-            and fund.sn_of_col[cur_struct[0]] == s
-            and cur_width + fund.width(s) <= opts.max_width
-        )
-        if mergeable:
-            w = cur_width + fund.width(s)
-            merged_struct = np.union1d(cur_struct[cur_struct > lc_s],
-                                       fund.structs[s])
-            merged_entries = _entries(w, merged_struct.size)
-            exact = cur_exact + _entries(fund.width(s), fund.structs[s].size)
-            zeros = merged_entries - exact
-            if zeros <= opts.max_zeros_ratio * merged_entries:
-                keep_start[s] = False
-                cur_width = w
-                cur_struct = merged_struct
-                cur_exact = exact
-                total_zeros += zeros
-                continue
-        cur_width = fund.width(s)
-        cur_struct = fund.structs[s]
-        cur_exact = _entries(cur_width, cur_struct.size)
-
-    starts = fund.sn_start[:-1][keep_start]
-    n = sym.n
-    sn_start = np.append(starts, n).astype(np.int64)
-    nsup = starts.size
-    sn_of_col = np.empty(n, dtype=np.int64)
-    for g in range(nsup):
-        sn_of_col[sn_start[g] : sn_start[g + 1]] = g
-
-    structs: list[np.ndarray] = []
-    for g in range(nsup):
-        lc = sn_start[g + 1] - 1
-        members = [fund.structs[s] for s in range(fund.nsup)
-                   if sn_start[g] <= fund.sn_start[s] < sn_start[g + 1]]
-        union = np.unique(np.concatenate(members)) if members else np.empty(0, np.int64)
-        structs.append(union[union > lc].astype(np.int64))
-
-    parent_sn = np.full(nsup, -1, dtype=np.int64)
-    for g in range(nsup):
-        if structs[g].size:
-            parent_sn[g] = sn_of_col[structs[g][0]]
-    return SupernodePartition(sn_start=sn_start, sn_of_col=sn_of_col,
-                              structs=structs, parent_sn=parent_sn,
-                              zeros_introduced=int(total_zeros))

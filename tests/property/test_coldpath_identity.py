@@ -1,4 +1,4 @@
-"""Bit-identity of the accelerated cold path against the retained references.
+"""Bit-identity of the accelerated cold path against the test oracles.
 
 The quotient-graph minimum degree, the row-walk flat column structures,
 the vectorized supernode build/amalgamation/regroup and the global block
@@ -12,13 +12,12 @@ random SPD patterns and seeds.
 import numpy as np
 import pytest
 
-from repro.ordering.amd import (
-    minimum_degree_order,
-    minimum_degree_order_reference,
-)
+from repro.ordering.amd import minimum_degree_order
 from repro.sparse import bone_like, flan_like, random_spd, thermal_like
 from repro.sparse.graph import AdjacencyGraph
-from repro.symbolic import analyze, analyze_reference
+from repro.symbolic import analyze
+from tests.oracles.ordering import minimum_degree_order_reference
+from tests.oracles.symbolic import analyze_reference
 
 FAMILIES = {
     "flan_like": lambda seed: flan_like(scale=4 + seed % 2),

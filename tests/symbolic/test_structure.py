@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg as la
 
 from repro.sparse import random_spd, tridiagonal_spd
-from repro.symbolic import SymbolicL, column_counts, column_structures, factor_nnz
+from repro.symbolic import SymbolicL, column_counts, factor_nnz
+from tests.oracles.symbolic import column_structures
 
 
 def dense_factor_pattern(a_dense):
@@ -28,14 +29,14 @@ class TestColumnStructures:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_numeric_factor(self, seed):
         a = random_spd(20, density=0.18, seed=seed)
-        structs = column_structures(a.lower)
+        structs = SymbolicL(a.lower).structs
         lpat = dense_factor_pattern(a.to_dense())
         for j in range(a.n):
             expected = np.flatnonzero(lpat[:, j])
             assert np.array_equal(structs[j], expected), f"column {j}"
 
     def test_diagonal_always_present(self, lap2d):
-        structs = column_structures(lap2d.lower)
+        structs = SymbolicL(lap2d.lower).structs
         for j, s in enumerate(structs):
             assert s[0] == j
 
@@ -58,6 +59,7 @@ class TestColumnStructures:
         assert SymbolicL(a.lower).fill_in() == 0
 
     def test_counts_match_structures(self, lap3d):
+        # Flat row-walk counts against the independent subtree merge.
         counts = column_counts(lap3d.lower)
         structs = column_structures(lap3d.lower)
         assert np.array_equal(counts, [s.size for s in structs])
@@ -67,7 +69,7 @@ class TestColumnStructures:
 
     def test_structure_contains_a(self, corner_case):
         """Every entry of A's lower triangle appears in L's structure."""
-        structs = column_structures(corner_case.lower)
+        structs = SymbolicL(corner_case.lower).structs
         low = corner_case.lower.tocoo()
         for i, j in zip(low.row, low.col):
             assert i in structs[j]

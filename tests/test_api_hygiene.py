@@ -57,3 +57,30 @@ class TestPublicApi:
                 assert meth.__doc__ and meth.__doc__.strip(), (
                     f"{modname}.{name}.{meth_name} lacks a docstring"
                 )
+
+
+def _all_repro_modules():
+    """Every importable ``repro`` module (``__main__`` entry points excluded)."""
+    import pkgutil
+
+    import repro
+
+    return [info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if not info.name.endswith("__main__")]
+
+
+def test_no_reference_twins_exported():
+    # Retained bit-identity oracles live in tests/oracles/, not in the
+    # package: no ``*_reference`` name may come back into any __all__.
+    offenders = []
+    for modname in ["repro", *_all_repro_modules()]:
+        mod = importlib.import_module(modname)
+        offenders += [f"{modname}.{name}" for name in getattr(mod, "__all__", [])
+                      if "_reference" in name]
+    assert not offenders, offenders
+
+
+def test_no_reference_ordering_registered():
+    from repro.ordering import ORDERINGS
+
+    assert not [name for name in ORDERINGS if "_reference" in name]
