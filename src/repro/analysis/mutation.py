@@ -9,12 +9,13 @@ report.
 
 The injections mirror the analysis layers:
 
-* **waves** — a real factorization's flush stream is captured, verified
-  clean, then mutated: a ``trsm_block`` call is duplicated *into its own
-  wave* (two unordered in-place writes of one panel block — must raise
-  ``WAVE001``) and re-submitted *into an earlier wave* (submission/wave
-  order inversion — must raise ``WAVE002``); a live factorization that
-  submits one past the last wave must raise ``WAVE002`` on its session.
+* **waves** — a real factorization graph's canonical stream is
+  verified clean, then mutated: a ``trsm_block`` call is duplicated
+  *into its own wave* (two unordered in-place writes of one panel block
+  — must raise ``WAVE001``) and re-submitted *into an earlier wave*
+  (submission/wave order inversion — must raise ``WAVE002``); a live
+  factorization with one ``trsm_block``'s cached level raised past the
+  last level must raise ``WAVE002`` on its session's own hook.
 * **plan-waves** — the same stream is run through the plan compile pass
   (``repro.plans``) and re-verified; a fused ``multi_update`` group
   inserted ahead of the stream against a ``trsm_block`` target must
@@ -89,51 +90,40 @@ class MutationReport:
                         for rule in self.expect_rules))
 
 
-def _capture_factor_flush() -> tuple:
-    """One real factorization's solver, executor and executed stream."""
+def _factor_stream() -> tuple:
+    """One real factorization's solver and its graph's canonical stream."""
     from ..core.solver import SolverOptions, SymPackSolver
     from ..sparse.generators import random_spd
 
     a = random_spd(60, density=0.15, seed=3)
     solver = SymPackSolver(a, SolverOptions(nranks=2))
-    captured: list = []
-    solver.session._flush_hook = (
-        lambda executor, submitted, executed:
-        captured.append((solver, executor, list(executed))))
     solver.factorize()
-    return captured[0]
+    return solver, list(solver._factor_graph.stream)
 
 
-def _late_submit(solver, late_wave: int) -> list[Finding]:
-    """Session findings of a plain re-run with a trsm_block submitted late.
+def _late_level(solver, late_level: int) -> list[Finding]:
+    """Session findings of a re-run with one trsm_block's level raised.
 
-    The flush sorts the late call after the updates that read its block,
-    so only the *submitted* stream the session verifies shows it.
+    The engine executes the stream sorted before the level was raised,
+    so only the DES start order the session's own hook verifies shows it.
     """
-    from ..core.engine import FanOutEngine
-    from ..kernels.dispatch import KernelExecutor
-
     session, graph = solver.session, solver._factor_graph
-    executor = KernelExecutor(graph.context, flush_hook=session._verify_flush)
-    submit = executor.submit
+    levels = graph.levels
     late = next(t.tid for t in graph.tasks if t.kernel.op == "trsm_block")
-
-    def late_submit(task, rank, device, wave=None):
-        submit(task, rank, device, late_wave if task.tid == late else wave)
-
-    executor.submit = late_submit
-    solver.storage.reset()
-    graph.context.fresh_run()
-    FanOutEngine(session._new_world(), graph, session.offload,
-                 executor=executor).run()
-    graph.context.end_run()
+    saved = int(levels[late])
+    levels[late] = late_level
+    session._flush_hook = session._verify_flush
+    try:
+        solver.factorize()
+    finally:
+        levels[late] = saved
     return session.wave_findings
 
 
 def selftest_waves() -> MutationReport:
     """Wave verifier: clean stream passes; injected conflicts are caught."""
-    solver, executor, pending = _capture_factor_flush()
-    ctx = executor.context
+    solver, pending = _factor_stream()
+    ctx = solver._factor_graph.context
     clean = verify_flush(pending, ctx)
 
     idx = next(i for i, (call, _w) in enumerate(pending)
@@ -144,15 +134,15 @@ def selftest_waves() -> MutationReport:
     overlapping = verify_flush(pending + [(call, wave)], ctx)
     # Injection 2: re-submission into an earlier wave (order inversion).
     inverted = verify_flush(pending + [(call, max(0, wave - 1))], ctx)
-    # Injection 3: a live run submits a trsm_block past the last wave.
-    late = _late_submit(solver, max(w for _c, w in pending) + 1)
+    # Injection 3: a live run with a trsm_block's level past the last.
+    late = _late_level(solver, max(w for _c, w in pending) + 1)
 
     report = MutationReport(
         layer="waves",
         clean_findings=clean,
         injected_findings=overlapping + inverted + late,
         expect_rules=("WAVE001", "WAVE002"),
-        notes=(f"captured {len(pending)} calls; duplicated trsm_block "
+        notes=(f"stream of {len(pending)} calls; duplicated trsm_block "
                f"args={call.args} (wave {wave}); live run with a late "
                f"trsm_block raised {sorted({f.rule for f in late})}"),
         details={"stream_calls": len(pending), "mutant_site": call.args},
@@ -173,9 +163,9 @@ def selftest_plan_waves() -> MutationReport:
     """Plan verifier: compiled stream clean; fused-group conflicts caught.
 
     Same argument as :func:`selftest_waves`, but through the compiled-plan
-    path: the captured flush stream is run through the plan compile pass
-    (fusion + interning) and re-verified with :func:`~repro.analysis.waves
-    .verify_plan`.  The injections exercise the fused representation:
+    path: the factor graph's stream is run through the plan compile pass
+    (fusion + interning) and its compiled stream re-verified.  The
+    injections exercise the fused representation:
 
     * a ``multi_update`` group scattering into a ``trsm_block``'s target,
       *inserted ahead of the whole stream* at the trsm's own wave — the
@@ -186,13 +176,12 @@ def selftest_plan_waves() -> MutationReport:
       (``WAVE001``), proving plain conflicts survive compilation too.
     """
     from ..kernels.dispatch import KernelCall
-    from ..plans import compile_stream
-    from .waves import verify_plan
+    from ..plans import compile_plan
 
-    _solver, executor, pending = _capture_factor_flush()
-    ctx = executor.context
-    plan = compile_stream(pending)
-    clean = verify_plan(plan, ctx)
+    solver, pending = _factor_stream()
+    ctx = solver._factor_graph.context
+    plan = compile_plan(pending)
+    clean = verify_flush(list(plan.stream), ctx)
 
     idx = next(i for i, (call, _w) in enumerate(pending)
                if call.op == "trsm_block")
@@ -201,10 +190,10 @@ def selftest_plan_waves() -> MutationReport:
     group = KernelCall("multi_update", ((
         ("syrk", ("blk", s, bi), ("diag", s), None, np.arange(2), -1.0),
     ),))
-    fused_mutant = compile_stream([(group, wave)] + list(pending))
-    fused = verify_plan(fused_mutant, ctx)
-    dup_mutant = compile_stream(list(pending) + [(call, wave)])
-    duplicated = verify_plan(dup_mutant, ctx)
+    fused_mutant = compile_plan([(group, wave)] + pending)
+    fused = verify_flush(list(fused_mutant.stream), ctx)
+    dup_mutant = compile_plan(pending + [(call, wave)])
+    duplicated = verify_flush(list(dup_mutant.stream), ctx)
 
     report = MutationReport(
         layer="plan-waves",

@@ -13,13 +13,14 @@ fails on any finding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..sparse import SymmetricCSC, grid_laplacian_2d, random_spd
 from .report import Finding
+from .waves import verify_flush
 
 __all__ = ["ScenarioResult", "scenario_grid", "run_scenarios"]
 
@@ -29,10 +30,10 @@ class ScenarioResult:
     """One checked family × matrix execution.
 
     ``plan_stream_calls`` counts the kernel calls of the compiled-plan
-    stream derived from the factorization's first flush (fusion applied)
-    that was re-verified through :func:`~repro.analysis.waves
-    .verify_plan`; its findings land in ``findings`` alongside the live
-    ones.
+    stream derived from the factorization graph's canonical stream
+    (fusion applied) that was re-verified through
+    :func:`~repro.analysis.waves.verify_flush`; its findings land in
+    ``findings`` alongside the live ones.
     """
 
     family: str
@@ -101,6 +102,8 @@ def run_scenarios(check_races: bool = True) -> list[ScenarioResult]:
     results; a scenario with findings is a correctness bug in the
     executor or engine, not in the workload.
     """
+    from ..plans import compile_plan
+
     results: list[ScenarioResult] = []
     for solver_cls, options_cls in _families():
         for key in sorted(_MATRICES):
@@ -111,43 +114,29 @@ def run_scenarios(check_races: bool = True) -> list[ScenarioResult]:
             solver = solver_cls(a, options)
             session = solver.session
             flushes = 0
-            captured: list = []  # first factor flush: (stream, ctx)
-            verify = session._flush_hook
 
             def counting_hook(executor: Any, submitted: list,
-                              executed: list,
-                              _verify: Callable[..., None] | None = verify,
-                              _captured: list = captured) -> None:
+                              executed: list) -> None:
                 nonlocal flushes
                 flushes += 1
-                if not _captured:
-                    _captured.append((list(executed), executor.context))
-                if _verify is not None:
-                    _verify(executor, submitted, executed)
+                session._verify_flush(executor, submitted, executed)
 
             session._flush_hook = counting_hook
             solver.factorize()
             rhs = np.linspace(-1.0, 1.0, a.n * 2).reshape(a.n, 2)
             solver.solve(rhs)
-            # Re-verify the stream the warm path would replay: compile
-            # the captured factor flush (fusion + interning) and run the
-            # plan verifier on it.
+            # Re-verify the stream the warm path would replay: the factor
+            # graph's stream after the compile pass (fusion + interning).
+            graph = solver._factor_graph
+            plan = compile_plan(graph.stream)
             findings = (list(session.wave_findings)
-                        + list(session.race_findings))
-            plan_calls = 0
-            if captured:
-                from ..plans import compile_stream
-                from .waves import verify_plan
-
-                stream, ctx = captured[0]
-                plan = compile_stream(stream)
-                plan_calls = plan.calls
-                findings.extend(verify_plan(plan, ctx))
+                        + list(session.race_findings)
+                        + verify_flush(list(plan.stream), graph.context))
             results.append(ScenarioResult(
                 family=solver_cls.__name__,
                 matrix=key,
                 flushes_checked=flushes,
-                plan_stream_calls=plan_calls,
+                plan_stream_calls=plan.calls,
                 findings=findings,
             ))
     return results

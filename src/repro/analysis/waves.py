@@ -1,19 +1,20 @@
 """Wave conflict verifier: waves are a sound levelization of the effects.
 
-The kernel executor never runs anything concurrently, but every flush
-re-sorts its stream into canonical ``(wave, tid)`` order; checkpoint
-wave cuts (:meth:`KernelExecutor.flush_through
-<repro.kernels.dispatch.KernelExecutor.flush_through>`) and compiled
-plan streams are prefixes and recordings of that order.  The sorted
-stream produces the bytes of the submitted one (task start order, a
-legal serial order) iff the wave numbers are a sound levelization of
-the byte-level effects — any two calls whose accesses conflict sit in
-different waves, ordered the way they were submitted.
+The kernel executor never runs anything concurrently, but every run
+executes its task graph's canonical ``(wave, tid)`` stream, levelized
+once per graph (:meth:`TaskGraph.levelize
+<repro.core.tasks.TaskGraph.levelize>`); checkpoint cuts and compiled
+plan streams are prefixes and copies of that order.  The sorted stream
+produces the bytes of the DES start order (a legal serial order) iff
+the wave numbers are a sound levelization of the byte-level effects —
+any two calls whose accesses conflict sit in different waves, ordered
+the way they were started.
 
 :func:`verify_flush` consumes the *submitted* ``(KernelCall, wave)``
-stream the flush hook receives next to the executed one — the executed
-stream is already wave-sorted, so checking it would compare wave order
-with itself — and proves it for that stream with three rules, each
+stream — the DES start order the engine hands the flush hook next to
+the executed segment, which is already wave-sorted, so checking it
+would compare wave order with itself — and proves it for that stream
+with three rules, each
 checked pairwise over overlapping accesses to the same canonical buffer
 (:mod:`repro.analysis.effects` classifies every write as *in place* or
 *accumulating* — a scatter-add or aggregate subtract,
@@ -41,25 +42,21 @@ modelled at the apply's own wave.  A write to an aggregate submitted
 *after* its apply is serially consistent and not flagged; no graph
 builder produces that shape.
 
-A stream with a missing wave (direct submitters, never re-sorted) has
-nothing to prove; one with any rhs-sweep kernel is sorted but not
-proven, since the effect model treats the shared rhs buffer as one
-region and every pair would conflict.  :func:`verify_flush` returns no
-findings for either.
+A stream with a missing wave has nothing to prove; one with any
+rhs-sweep kernel is sorted but not proven, since the effect model
+treats the shared rhs buffer as one region and every pair would
+conflict.  :func:`verify_flush` returns no findings for either.  A
+compiled plan's stream is checked the same way: the effects registry
+expands each fused ``multi_update`` group action by action.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from ..kernels.dispatch import ExecContext, KernelCall
 from .effects import RHS_OPS, Access, call_accesses
 from .report import Finding
 
-if TYPE_CHECKING:  # import cycle: repro.plans verifies through this module
-    from ..plans.plan import NumericPlan
-
-__all__ = ["verify_flush", "verify_plan", "is_wave_parallel"]
+__all__ = ["verify_flush", "is_wave_parallel"]
 
 _ELT_BYTES = 8  # float64 factor/aggregate storage throughout
 
@@ -137,21 +134,6 @@ def verify_flush(pending: list[tuple[KernelCall, int | None]],
     findings.sort(key=lambda f: (f.details["task_a"], f.details["task_b"],
                                  f.rule))
     return findings
-
-
-def verify_plan(plan: NumericPlan, context: ExecContext) -> list[Finding]:
-    """Check a compiled plan's frozen stream against the wave invariants.
-
-    A :class:`~repro.plans.plan.NumericPlan` carries the exact
-    ``(call, wave)`` stream a warm replay hands to
-    :meth:`KernelExecutor.execute_stream
-    <repro.kernels.dispatch.KernelExecutor.execute_stream>` — including
-    the compile pass's fused ``multi_update`` groups, whose deferred
-    scatter sets the effects registry expands action by action.  The
-    invariants are the same three the live verifier proves (WAVE001–003);
-    only the stream source differs.
-    """
-    return verify_flush(list(plan.stream), context)
 
 
 def _pair_finding(rule: str, what: str, key: tuple,

@@ -31,18 +31,17 @@ from ..machine.perlmutter import perlmutter
 from ..pgas.device_kinds import DeviceKind
 from ..pgas.network import MemoryKindsMode
 from ..pgas.runtime import CommStats
-from ..plans import (NumericPlan, PlanArena, PlanStats, StreamRecorder,
-                     compile_plan)
+from ..plans import NumericPlan, PlanArena, PlanStats, compile_plan
 from ..resilience.options import ResilienceOptions
 from ..sparse.csc import SymmetricCSC
 from ..sparse.validate import check_finite, probable_spd
-from ..symbolic.analysis import SymbolicAnalysis, analyze, rebind_analysis_values
+from ..symbolic.analysis import analyze
 from ..symbolic.cache import AnalysisCache
 from ..symbolic.supernodes import AmalgamationOptions
 from .engine import Scheduling
 from .mapping import ProcessMap, column_cyclic_1d
 from .offload import OffloadPolicy
-from .session import ExecutionSession
+from .session import ExecutionSession, RunResult
 from .storage import FactorStorage
 from .tasks import TaskGraph
 from .tracing import ExecutionTrace
@@ -94,8 +93,8 @@ class CommonOptions:
         accumulate on the session's ``race_findings`` (CLI
         ``--check-races``).
     plan_mode:
-        ``"on"`` records the first DES-driven factorization (and each
-        first solve per rhs width) into a compiled
+        ``"on"`` compiles each graph's canonical stream after its first
+        DES run (the factorization, and each solve per rhs width) into a
         :class:`~repro.plans.NumericPlan` and executes every warm
         repeat straight through the kernel executor's batched flush —
         no task-graph traversal, no event queue — with bit-identical
@@ -210,8 +209,7 @@ class SolverBase:
     options_cls: type[CommonOptions] = CommonOptions
 
     def __init__(self, a: SymmetricCSC, options: CommonOptions | None = None,
-                 *, analysis: SymbolicAnalysis | None = None,
-                 trace: ExecutionTrace | None = None,
+                 *, trace: ExecutionTrace | None = None,
                  ledger: MemoryLedger | None = None,
                  pool: BufferPool | None = None):
         self.options = options if options is not None else self.options_cls()
@@ -221,36 +219,26 @@ class SolverBase:
                 "matrix has non-positive diagonal entries; not SPD"
             )
         self.a = a
-        if analysis is not None:
-            # Precomputed symbolic phase (the service's symbolic-cache hit
-            # path): the caller guarantees ``analysis`` was computed on a
-            # matrix with the exact sparsity structure of ``a``, so only
-            # the permuted numeric values need recomputing.
-            if analysis.n != a.n:
-                raise ValueError(
-                    f"analysis is for n={analysis.n}, matrix has n={a.n}")
-            self.analysis = rebind_analysis_values(analysis, a)
+        cache = self.options.analysis_cache
+        cached = None
+        if cache is not None:
+            t_load = time.perf_counter()
+            cached = cache.get(a)
+            t_load = time.perf_counter() - t_load
+        if cached is not None:
+            # Hit: the whole cold path is skipped.  The copy's phase
+            # dict is replaced (not mutated) so the cached entry keeps
+            # its own record.
+            cached.phase_seconds = {"ordering": 0.0, "symbolic": 0.0,
+                                    "blocks": 0.0, "cache_load": t_load}
+            self.analysis = cached
         else:
-            cache = self.options.analysis_cache
-            cached = None
+            self.analysis = analyze(
+                a, ordering=self.options.ordering,
+                amalgamation=self.options.amalgamation,
+            )
             if cache is not None:
-                t_load = time.perf_counter()
-                cached = cache.get(a)
-                t_load = time.perf_counter() - t_load
-            if cached is not None:
-                # Hit: the whole cold path is skipped.  The copy's phase
-                # dict is replaced (not mutated) so the cached entry keeps
-                # its own record.
-                cached.phase_seconds = {"ordering": 0.0, "symbolic": 0.0,
-                                        "blocks": 0.0, "cache_load": t_load}
-                self.analysis = cached
-            else:
-                self.analysis = analyze(
-                    a, ordering=self.options.ordering,
-                    amalgamation=self.options.amalgamation,
-                )
-                if cache is not None:
-                    cache.put(a, self.analysis)
+                cache.put(a, self.analysis)
         self.session = ExecutionSession.from_options(
             self.options, machine=self._session_machine(), trace=trace,
             ledger=ledger, pool=pool)
@@ -271,7 +259,7 @@ class SolverBase:
         self._solve_graphs: dict[int, tuple[TaskGraph, TaskGraph, np.ndarray]] = {}
         self._factorized = False
         # Compiled-plan state (plan_mode="on"): the factor plan is
-        # recorded on the first factorization, solve plans per rhs
+        # compiled on the first factorization, solve plans per rhs
         # width on the first solve of that width; the arena retains
         # kernel-held buffers between replays (see repro.plans).
         self.plan_stats = PlanStats()
@@ -334,7 +322,7 @@ class SolverBase:
         from ``A`` and the graph's execution context, then replays the
         identical graph (the repeated-factorization pattern of
         PEXSI-style applications).  Under ``plan_mode="on"`` the first
-        call additionally records its flush stream into a compiled
+        call additionally compiles the graph's canonical stream into a
         :class:`~repro.plans.NumericPlan`, and every later call executes
         that plan straight through the kernel executor — no DES — with
         bit-identical results.
@@ -356,20 +344,16 @@ class SolverBase:
                 # scratch) get the session pool patched in post-build.
                 ctx.pool = self.session.pool
         else:
-            if self._plan_enabled and self._factor_plan is not None:
-                return self._plan_refactorize()
             self.storage.reset()
             self._prepare_storage()
             self._factor_graph.context.fresh_run()
-        if self._plan_enabled and self._factor_plan is None:
-            with StreamRecorder(self.session) as rec:
-                run = self.session.run(self._factor_graph)
-            self._factor_plan = compile_plan(
-                rec.stream(), kind="factor", makespan=run.makespan,
-                tasks=run.tasks_total, rank_busy=tuple(run.rank_busy),
-                comm=CommStats() + run.comm, stats=self.plan_stats)
+        if self._factor_plan is not None:
+            run = self._replay(self._factor_plan, self._factor_graph.context)
         else:
             run = self.session.run(self._factor_graph)
+            if self._plan_enabled:
+                self._factor_plan = self._compile(self._factor_graph,
+                                                  "factor", run)
         if cold:
             self._first_des_seconds = time.perf_counter() - t_des
             self.session.trace.record_phases(
@@ -386,6 +370,14 @@ class SolverBase:
             **self._phase_fields(),
         )
 
+    def _compile(self, graph: TaskGraph, kind: str,
+                 run: RunResult) -> NumericPlan:
+        """Compile ``graph``'s canonical stream, with ``run``'s timings."""
+        return compile_plan(
+            graph.stream, kind=kind, makespan=run.makespan,
+            tasks=run.tasks_total, rank_busy=tuple(run.rank_busy),
+            comm=CommStats() + run.comm, stats=self.plan_stats)
+
     def _phase_fields(self) -> dict[str, float]:
         """Cold-path phase breakdown (ms) for :class:`FactorizeInfo`."""
         ph = self.analysis.phase_seconds
@@ -396,14 +388,18 @@ class SolverBase:
             "first_des_ms": self._first_des_seconds * 1e3,
         }
 
-    def _execute_plan(self, plan: NumericPlan, ctx: ExecContext
-                      ) -> "ExecutorStats":
+    def _replay(self, plan: NumericPlan, ctx: ExecContext) -> RunResult:
         """Run one compiled plan against ``ctx`` with the arena installed.
 
         No task-graph traversal, no event queue, no simulated RPC: a
-        fresh executor flushes the plan's frozen stream, observed by the
+        fresh executor runs the plan's frozen stream, observed by the
         session's flush hook exactly as live flushes are (wave checking
-        covers the compiled hot path too).
+        covers the compiled hot path too).  The simulated-time results
+        are the first DES run's.  The context deliberately skips
+        ``end_run()``: scratch stays resident (zeroed in place by the
+        next ``fresh_run``) and the arena retains kernel-held buffers,
+        so replays after the first perform zero pool takes and zero
+        ledger allocations.
         """
         if self._plan_arena is None:
             self._plan_arena = PlanArena(self.session.pool)
@@ -415,35 +411,12 @@ class SolverBase:
         finally:
             ctx.plan_arena = None
         self.plan_stats.hits += 1
-        return executor.stats
-
-    def _plan_refactorize(self) -> FactorizeInfo:
-        """Warm refactorization through the compiled plan (no DES).
-
-        The context deliberately skips ``end_run()``: scratch stays
-        resident (zeroed in place by the next ``fresh_run``) and the
-        arena retains kernel-held buffers, so replays after the first
-        perform zero pool takes and zero ledger allocations.
-        """
-        plan = self._factor_plan
-        ctx = self._factor_graph.context
-        self.storage.reset()
-        self._prepare_storage()
-        ctx.fresh_run()
-        stats = self._execute_plan(plan, ctx)
         comm = CommStats() + plan.comm
         self.session.record_replay(comm)
-        self._factorized = True
-        return FactorizeInfo(
-            simulated_seconds=plan.makespan,
-            trace=self.session.trace,
-            comm=comm,
-            tasks=plan.tasks,
-            rank_busy=list(plan.rank_busy),
-            exec_stats=stats,
-            mem=self.session.ledger.snapshot(),
-            **self._phase_fields(),
-        )
+        return RunResult(makespan=plan.makespan, tasks_total=plan.tasks,
+                         rank_busy=list(plan.rank_busy), comm=comm,
+                         trace=self.session.trace, exec_stats=executor.stats,
+                         mem=self.session.ledger.snapshot())
 
     def update_values(self, a: SymmetricCSC) -> None:
         """Rebind the solver to ``a``'s numeric values, keeping all
@@ -510,40 +483,25 @@ class SolverBase:
         total_time = 0.0
         total_tasks = 0
         comm = CommStats()
-        plans = self._solve_plans.get(nrhs) if self._plan_enabled else None
-        if plans is not None:
-            # Warm path: both sweeps execute their compiled streams,
-            # recorded in the canonical (wave, tid) order a DES run
-            # executes, so replay and DES produce the same bits.
-            for plan, graph in zip(plans, (fwd, bwd)):
-                graph.context.fresh_run()
-                self._execute_plan(plan, graph.context)
-                run_comm = CommStats() + plan.comm
-                self.session.record_replay(run_comm)
-                total_time += plan.makespan
-                total_tasks += plan.tasks
-                comm += run_comm
-        elif self._plan_enabled:
-            recorded: list[NumericPlan] = []
-            for kind, graph in (("solve_fwd", fwd), ("solve_bwd", bwd)):
-                graph.context.fresh_run()
-                with StreamRecorder(self.session) as rec:
-                    run = self.session.run(graph)
-                recorded.append(compile_plan(
-                    rec.stream(), kind=kind, makespan=run.makespan,
-                    tasks=run.tasks_total, rank_busy=tuple(run.rank_busy),
-                    comm=CommStats() + run.comm, stats=self.plan_stats))
-                total_time += run.makespan
-                total_tasks += run.tasks_total
-                comm += run.comm
-            self._solve_plans[nrhs] = (recorded[0], recorded[1])
-        else:
-            for graph in (fwd, bwd):
-                graph.context.fresh_run()
+        # Warm path: both sweeps replay their compiled streams, the
+        # graphs' canonical (level, tid) streams every DES run executes,
+        # so replay and DES produce the same bits.
+        plans = self._solve_plans.get(nrhs)
+        compiled: list[NumericPlan] = []
+        for i, (kind, graph) in enumerate((("solve_fwd", fwd),
+                                           ("solve_bwd", bwd))):
+            graph.context.fresh_run()
+            if plans is not None:
+                run = self._replay(plans[i], graph.context)
+            else:
                 run = self.session.run(graph)
-                total_time += run.makespan
-                total_tasks += run.tasks_total
-                comm += run.comm
+                if self._plan_enabled:
+                    compiled.append(self._compile(graph, kind, run))
+            total_time += run.makespan
+            total_tasks += run.tasks_total
+            comm += run.comm
+        if compiled:
+            self._solve_plans[nrhs] = (compiled[0], compiled[1])
 
         x = rhs[self.analysis.perm.iperm].copy()
         if squeeze:

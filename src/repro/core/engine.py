@@ -16,13 +16,12 @@ paradigm (Section 3.4, Figures 3–4) event-for-event:
 5. the rank picks the next task from the RTQ and executes it — on CPU or
    GPU according to the per-operation offload thresholds.
 
-Numerics are real but *deferred*: each task's declarative
-:class:`~repro.kernels.dispatch.KernelCall` is submitted to a
-:class:`~repro.kernels.dispatch.KernelExecutor` at its simulated start and
-the whole run is flushed — in canonical ``(wave, tid)`` order, batched by
-op — once the simulation drains, so the bits depend on the graph alone.
-Time, placement and communication are simulated against the machine
-model.
+Numerics are real but *deferred*: the graph levelizes itself once
+(:meth:`~repro.core.tasks.TaskGraph.levelize`), and once the simulation
+drains the engine hands the graph's canonical ``(level, tid)`` kernel
+stream to a :class:`~repro.kernels.dispatch.KernelExecutor`, batched by
+op — so the bits depend on the graph alone.  Time, placement and
+communication are simulated against the machine model.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 from ..kernels.dispatch import ExecutorStats, KernelExecutor
 from ..memory import MemorySnapshot
@@ -90,8 +90,8 @@ class FanOutEngine:
     world:
         Simulated PGAS job (ranks, network, devices).
     graph:
-        The task DAG; ``deps`` counters must be consistent
-        (``graph.validate()`` is called).  The graph is read-only during
+        The task DAG; its cached levelization validates it (once per
+        graph) and fixes the kernel stream.  The graph is read-only during
         execution — message pointers live in the engine's in-flight
         notifications, never on the graph — so the same graph can be run
         again by a fresh engine.
@@ -102,21 +102,21 @@ class FanOutEngine:
     trace:
         Optional pre-existing trace to accumulate into (so factorization
         and solve can share counters, as in paper Figure 6).
-    executor:
-        Optional pre-built kernel executor; by default one is created
-        over ``graph.context``.
     flush_hook:
-        Optional flush observer forwarded to the default-constructed
-        executor (see :class:`~repro.kernels.dispatch.KernelExecutor`),
-        which runs every flush in canonical ``(wave, tid)`` order.
+        Optional flush observer (see
+        :class:`~repro.kernels.dispatch.KernelExecutor`).  With a hook
+        set, the engine also keeps the DES start order and hands it to
+        the hook next to each executed stream segment (the wave
+        verifier checks the former).
     checkpointer:
         Optional :class:`~repro.resilience.checkpoint.CheckpointManager`
         (duck-typed): notified at engine start and on every task
-        completion so it can cut wave-frontier checkpoints.
+        completion so it can cut level-frontier checkpoints.
     resume:
-        Optional restart state from a checkpoint restore: tasks marked
-        executed are skipped and dependency counters/waves are rederived
-        so the run continues exactly where the checkpoint cut.
+        Optional checkpoint to restart from (its ``executed`` set and
+        ``frontier``): executed tasks are skipped, dependency counters
+        are rederived, and the stream cursor starts past the
+        checkpoint's prefix, so the run continues where the cut was.
     """
 
     def __init__(
@@ -126,22 +126,23 @@ class FanOutEngine:
         policy: OffloadPolicy,
         scheduling: str | Scheduling = Scheduling.FIFO,
         trace: ExecutionTrace | None = None,
-        executor: KernelExecutor | None = None,
         flush_hook=None,
         checkpointer=None,
         resume=None,
     ) -> None:
-        graph.validate()
         self.world = world
         self.graph = graph
+        self.levelization = graph.levelize()
         self.policy = policy
         self.scheduling = Scheduling(scheduling)
         self.trace = trace if trace is not None else ExecutionTrace()
-        self.executor = (executor if executor is not None
-                         else KernelExecutor(graph.context, trace=self.trace,
-                                             flush_hook=flush_hook))
-        if self.executor.trace is None:
-            self.executor.trace = self.trace
+        self.executor = KernelExecutor(graph.context, flush_hook=flush_hook)
+        # tid -> DES start sequence number; kept only for the flush hook
+        # (the wave verifier checks the start order).
+        self._started: dict[int, int] | None = (
+            {} if flush_hook is not None else None)
+        # Stream entries already executed (checkpoint cuts, a resume).
+        self.cursor = 0
         self._checkpointer = checkpointer
 
         n_ranks = world.nranks
@@ -158,10 +159,6 @@ class FanOutEngine:
         self._device_resident: list[set] = [set() for _ in range(n_ranks)]
         self._executed = [False] * len(graph.tasks)
         self._done_count = 0
-        # Dependency wave (DAG depth) of each task: 0 for roots, else
-        # 1 + max over producers.  Producers all complete before a
-        # consumer is submitted, so the value is final by submission time.
-        self._wave = [0] * len(graph.tasks)
         if resume is not None:
             self._apply_resume(resume)
         # Rank-level fault windows (stall/pause end) re-poll through here.
@@ -171,40 +168,25 @@ class FanOutEngine:
         self._try_schedule(rank, t)
 
     def _apply_resume(self, resume) -> None:
-        """Rebuild counters and waves from a checkpoint's executed set.
+        """Rebuild counters and the stream cursor from a checkpoint.
 
-        A consumer's dependency counter must equal its number of
-        *unexecuted* producers, and its wave the max over executed
-        producers' waves + 1 — both rederivable from the checkpoint's
-        ``(executed, waves)`` pair alone.  No signals are replayed:
-        message payloads are size-only handles, and the restored storage
-        already holds every executed producer's output.
+        The checkpoint's executed set is the stream prefix through its
+        frontier level; each consumer's counter drops once per executed
+        producer.  No signals are replayed: message payloads are
+        size-only handles, and the restored storage already holds every
+        executed producer's output.
         """
+        executed = self._executed
         for tid in resume.executed:
-            self._executed[tid] = True
-            self._wave[tid] = resume.waves[tid]
+            executed[tid] = True
         self._done_count = len(resume.executed)
-        for task in self.graph.tasks:
-            if not self._executed[task.tid]:
-                continue
-            child_wave = self._wave[task.tid] + 1
-            for child in task.local_consumers:
-                if self._executed[child]:
-                    continue
-                self._remaining[child] -= 1
-                if child_wave > self._wave[child]:
-                    self._wave[child] = child_wave
-            for msg in task.messages:
-                for child in msg.consumers:
-                    if self._executed[child]:
-                        continue
+        self.cursor = self.levelization.prefix(resume.frontier)
+        for tid in resume.executed:
+            task = self.graph.tasks[tid]
+            for child in chain(task.local_consumers,
+                               *(msg.consumers for msg in task.messages)):
+                if not executed[child]:
                     self._remaining[child] -= 1
-                    if child_wave > self._wave[child]:
-                        self._wave[child] = child_wave
-        for tid, left in enumerate(self._remaining):
-            if not self._executed[tid] and left < 0:
-                raise RuntimeError(
-                    f"task {tid} dependency counter went negative on resume")
 
     # --------------------------------------------------------------- queues
 
@@ -338,10 +320,11 @@ class FanOutEngine:
         task = self.graph.tasks[tid]
         self._busy[rank] = True
         device, duration = self._place_task(task, rank)
-        # Numerics are deferred: the flush runs in (wave, tid) order, and
-        # a consumer's wave exceeds every producer's, so execution is
-        # dependency-respecting whatever the simulated start order.
-        self.executor.submit(task, rank, device, wave=self._wave[tid])
+        # Numerics are deferred to the graph's (level, tid) stream; only
+        # the op counters are recorded at the simulated start.
+        self.trace.ops.record(rank, task.op, device, task.flops)
+        if self._started is not None:
+            self._started[tid] = len(self._started)
         end = now + duration
         self.world.ranks[rank].busy_time += duration
         self.trace.record_task(now, end, rank, task.label)
@@ -354,9 +337,9 @@ class FanOutEngine:
         injector = self.world.injector
         if injector is not None and rank in injector.dead_ranks:
             # Fail-stop: a rank that crashed mid-task loses the work.  The
-            # task stays unexecuted (its submitted kernel's wave stays
-            # above every checkpoint frontier, so it is never flushed) and
-            # its consumers starve until checkpoint restart.
+            # task stays unexecuted (its level stays above every
+            # checkpoint frontier, so no executed stream prefix reaches
+            # it) and its consumers starve until checkpoint restart.
             return
         state = self.world.ranks[rank]
         state.clock = now
@@ -364,17 +347,6 @@ class FanOutEngine:
         self._busy[rank] = False
         self._executed[tid] = True
         self._done_count += 1
-
-        # Propagate dependency waves to every consumer (local and remote).
-        wave = self._wave
-        child_wave = wave[tid] + 1
-        for child in task.local_consumers:
-            if child_wave > wave[child]:
-                wave[child] = child_wave
-        for msg in task.messages:
-            for child in msg.consumers:
-                if child_wave > wave[child]:
-                    wave[child] = child_wave
 
         if self._checkpointer is not None:
             self._checkpointer.on_task_done(self, now)
@@ -432,6 +404,29 @@ class FanOutEngine:
 
     # ------------------------------------------------------------------ run
 
+    def execute_through(self, level: int | None = None) -> None:
+        """Execute the graph's stream from the cursor through ``level``.
+
+        ``None`` runs the rest of the stream.  A checkpoint cut passes its
+        frontier level: a prefix of the one canonical stream, so cut and
+        uncut runs execute the same calls in the same order.
+        """
+        lev = self.levelization
+        stream = lev.stream
+        end = len(stream) if level is None else lev.prefix(level)
+        start = self.cursor
+        if end <= start:
+            return
+        segment = stream[start:end]
+        submitted = None
+        if self._started is not None:
+            tids = sorted(lev.order[start:end].tolist(),
+                          key=self._started.__getitem__)
+            tasks = self.graph.tasks
+            submitted = [(tasks[t].kernel, int(lev.levels[t])) for t in tids]
+        self.cursor = end
+        self.executor.execute_stream(segment, submitted)
+
     def run(self) -> EngineResult:
         """Execute the graph to completion; returns timing and trace."""
         if self._checkpointer is not None:
@@ -464,10 +459,9 @@ class FanOutEngine:
                 f"engine finished with {stranded}"
                 f" unexecuted tasks (protocol deadlock?); first stuck: {stuck}"
             )
-        # The simulation has fixed every task's wave; now run the real
-        # numerics in (wave, tid) order, batched.  Exceptions (e.g.
-        # non-SPD pivots) surface here.
-        self.executor.flush()
+        # Now run the real numerics: the rest of the graph's (level, tid)
+        # stream, batched.  Exceptions (e.g. non-SPD pivots) surface here.
+        self.execute_through(None)
         busy = [r.busy_time for r in self.world.ranks]
         return EngineResult(
             makespan=self.world.makespan(),

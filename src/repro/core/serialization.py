@@ -22,7 +22,7 @@ __all__ = ["SerializedFactor", "save_factor", "load_factor",
            "checkpoint_path", "save_checkpoint", "load_checkpoint"]
 
 _FORMAT_VERSION = 1
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -135,7 +135,7 @@ def load_factor(path: str | Path) -> SerializedFactor:
 # Mid-factorization checkpoints (repro.resilience): the numeric snapshot
 # is supernode-granular — one ``diag_<s>`` / ``panel_<s>`` array pair per
 # supernode — plus scratch accumulators, transient payloads and the
-# task-graph progress (executed set, waves, frontier).  Keys that are
+# task-graph progress (executed set, frontier).  Keys that are
 # Python tuples travel as a JSON manifest.  All I/O failures surface as
 # the typed ``CheckpointIOError`` so callers (CLI exit code 4, service
 # events) can tell them from solver errors.
@@ -167,7 +167,6 @@ def save_checkpoint(state, directory: str | Path,
     }
     arrays: dict[str, np.ndarray] = {
         "executed": np.asarray(state.executed, dtype=np.int64),
-        "waves": np.asarray(state.waves, dtype=np.int64),
         "manifest": np.bytes_(json.dumps(manifest).encode()),
     }
     for s, (diag, panel) in enumerate(zip(state.diag, state.panels)):
@@ -224,7 +223,6 @@ def load_checkpoint(path: str | Path):
             return CheckpointState(
                 frontier=int(manifest["frontier"]),
                 executed=tuple(int(t) for t in archive["executed"]),
-                waves=tuple(int(w) for w in archive["waves"]),
                 diag=diag, panels=panels, scratch=scratch,
                 transient=transient)
     except OSError as exc:

@@ -18,10 +18,13 @@ can be executed any number of times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
+
+import numpy as np
 
 from ..kernels.dispatch import NOOP, ExecContext, KernelCall
 
-__all__ = ["TaskKind", "OutMessage", "SimTask", "TaskGraph"]
+__all__ = ["TaskKind", "OutMessage", "SimTask", "Levelization", "TaskGraph"]
 
 
 class TaskKind:
@@ -132,6 +135,101 @@ class SimTask:
     send_fanout: int = 0
 
 
+@dataclass(frozen=True, eq=False)
+class Levelization:
+    """A task graph's static execution order, computed once per graph.
+
+    ``levels[tid]`` is the task's DAG depth (longest path from a root);
+    ``order`` lists the task ids sorted by ``(level, tid)``; ``ends[k]``
+    is the number of tasks at level ``<= k``; ``stream`` is
+    ``[(task.kernel, level)]`` in that order.  Every run of the graph
+    executes ``stream`` — whatever the simulated start order — so the bits
+    are a function of the graph alone.
+    """
+
+    levels: np.ndarray
+    order: np.ndarray
+    ends: np.ndarray
+    stream: list[tuple[KernelCall, int]]
+
+    def prefix(self, level: int) -> int:
+        """Length of the stream prefix holding every task at <= ``level``."""
+        return int(self.ends[level]) if level >= 0 else 0
+
+
+def _levelize(tasks: list[SimTask]) -> Levelization:
+    """One pass over the edges: validate the graph, then levelize it.
+
+    Raises ``ValueError`` when a message consumer is not on the message's
+    rank, a dependency count disagrees with the incoming edges, or the
+    graph has a cycle.  The builders do not emit tasks in topological
+    order, so levels come from a frontier (Kahn) sweep, one whole-array
+    step per level; each frontier comes out sorted by tid, so their
+    concatenation is the ``(level, tid)`` order.
+    """
+    n = len(tasks)
+    rank: list[int] = []
+    deps: list[int] = []
+    kernels: list[KernelCall] = []
+    fanout: list[int] = []
+    dst: list[int] = []
+    msg_dst: list[int] = []
+    msg_rank: list[int] = []
+    for t in tasks:
+        rank.append(t.rank)
+        deps.append(t.deps)
+        kernels.append(t.kernel)
+        before = len(dst)
+        dst += t.local_consumers
+        for msg in t.messages:
+            consumers = msg.consumers
+            dst += consumers
+            msg_dst += consumers
+            msg_rank += [msg.dst_rank] * len(consumers)
+        fanout.append(len(dst) - before)
+    dst_a = np.array(dst, dtype=np.int64)
+    if dst and (dst_a.min() < 0 or dst_a.max() >= n):
+        raise ValueError("a consumer id is not a task of this graph")
+    misrouted = np.flatnonzero(np.array(rank, dtype=np.int64)[msg_dst]
+                               != np.array(msg_rank, dtype=np.int64))
+    if misrouted.size:
+        i = int(misrouted[0])
+        raise ValueError(
+            f"message consumer {msg_dst[i]} not on rank {msg_rank[i]}")
+    remaining = np.bincount(dst_a, minlength=n)
+    wrong = np.flatnonzero(remaining != np.array(deps, dtype=np.int64))
+    if wrong.size:
+        t = tasks[int(wrong[0])]
+        raise ValueError(
+            f"task {t.tid} ({t.label}): deps={t.deps} but "
+            f"{remaining[t.tid]} incoming edges")
+
+    # Out-edges are already grouped by source, in tid order (CSR).
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(fanout, out=indptr[1:])
+    levels = np.full(n, -1, dtype=np.int64)
+    fronts = []
+    frontier = np.flatnonzero(remaining == 0)
+    while frontier.size:
+        levels[frontier] = len(fronts)
+        fronts.append(frontier)
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        kids, hits = np.unique(dst_a[offsets + np.arange(offsets.size)],
+                               return_counts=True)
+        remaining[kids] -= hits
+        frontier = kids[remaining[kids] == 0]
+    order = np.concatenate(fronts) if fronts else np.empty(0, np.int64)
+    if order.size != n:
+        stuck = np.flatnonzero(levels < 0)[:10].tolist()
+        raise ValueError(f"task graph has a cycle through tasks {stuck}")
+    ends = np.cumsum([f.size for f in fronts], dtype=np.int64)
+    stream = list(zip(itemgetter(*order.tolist())(kernels) if n > 1
+                      else kernels, levels[order].tolist()))
+    return Levelization(levels=levels, order=order, ends=ends, stream=stream)
+
+
 @dataclass
 class TaskGraph:
     """A complete distributed task DAG plus bookkeeping totals.
@@ -139,15 +237,23 @@ class TaskGraph:
     ``context`` is the :class:`~repro.kernels.dispatch.ExecContext` the
     tasks' kernel calls resolve operands against; re-running a graph only
     requires resetting the context, never rebuilding the tasks.
+
+    :meth:`levelize` validates the graph and fixes its execution order
+    once; the engine, checkpoints and compiled plans all read that cached
+    result.  :meth:`new_task` and :meth:`add_dependency` drop it, so
+    builders must finish wiring edges before the graph first runs.
     """
 
     tasks: list[SimTask] = field(default_factory=list)
     context: ExecContext | None = None
+    _levelization: Levelization | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def new_task(self, **kwargs) -> SimTask:
         """Append a task, assigning its id."""
         task = SimTask(tid=len(self.tasks), **kwargs)
         self.tasks.append(task)
+        self._levelization = None
         return task
 
     def add_dependency(self, producer: SimTask, consumer: SimTask) -> None:
@@ -158,26 +264,24 @@ class TaskGraph:
             )
         producer.local_consumers.append(consumer.tid)
         consumer.deps += 1
+        self._levelization = None
 
-    def validate(self) -> None:
-        """Structural sanity: consumer ids valid, dep counts consistent."""
-        incoming = [0] * len(self.tasks)
-        for t in self.tasks:
-            for c in t.local_consumers:
-                incoming[c] += 1
-            for msg in t.messages:
-                for c in msg.consumers:
-                    if self.tasks[c].rank != msg.dst_rank:
-                        raise ValueError(
-                            f"message consumer {c} not on rank {msg.dst_rank}"
-                        )
-                    incoming[c] += 1
-        for t in self.tasks:
-            if incoming[t.tid] != t.deps:
-                raise ValueError(
-                    f"task {t.tid} ({t.label}): deps={t.deps} but "
-                    f"{incoming[t.tid]} incoming edges"
-                )
+    def levelize(self) -> Levelization:
+        """The graph's levelization, computed (and the graph validated:
+        ``ValueError`` if inconsistent or cyclic) on first use."""
+        if self._levelization is None:
+            self._levelization = _levelize(self.tasks)
+        return self._levelization
+
+    @property
+    def levels(self) -> np.ndarray:
+        """Each task's DAG depth: 0 for roots, else 1 + max over producers."""
+        return self.levelize().levels
+
+    @property
+    def stream(self) -> list[tuple[KernelCall, int]]:
+        """``[(task.kernel, level)]`` in canonical ``(level, tid)`` order."""
+        return self.levelize().stream
 
     def roots(self) -> list[SimTask]:
         """Tasks with no dependencies (initially ready)."""

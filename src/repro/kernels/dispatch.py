@@ -11,21 +11,21 @@ the closure design could not provide:
   holds no baked-in array pointers beyond the context, so resetting the
   context (``fresh_run`` + ``FactorStorage.reset``) replays the same graph
   (the PEXSI repeated-factorization pattern);
-* **batched execution** — the engine *defers* numerics: kernels are
-  submitted at task start and flushed at the end of the run, with
+* **batched execution** — the engine *defers* numerics: a run's kernels
+  execute as one stream once the simulation drains, with
   maximal runs of consecutive same-op calls executed as one batch
   (stacked GEMM/SYRK products when operand shapes agree), cutting Python
   per-call overhead on the hot update path while keeping the scatter
   order — and therefore the floating-point results — identical to
   one-at-a-time execution of the same stream;
-* **one timing-independent order** — the engine records each task's
-  dependency *wave* (DAG depth level) at submission, and every flush
-  runs in canonical ``(wave, tid)`` order, so the bits are a function of
-  the task graph alone, never of simulated timing, scheduling policy,
-  plans or faults.  The flush never runs anything concurrently; waves
-  are an ordering notion that checkpoint cuts
-  (:meth:`KernelExecutor.flush_through`) and compiled-plan streams
-  share, and which the wave conflict verifier
+* **one timing-independent order** — each task graph levelizes itself
+  once (:meth:`~repro.core.tasks.TaskGraph.levelize`: a task's *wave* is
+  its DAG depth), and every run executes the graph's canonical
+  ``(wave, tid)`` stream, so the bits are a function of the task graph
+  alone, never of simulated timing, scheduling policy, plans or faults.
+  The executor never runs anything concurrently; waves are an ordering
+  notion that the engine, checkpoint cuts (stream prefixes) and compiled
+  plans share, and which the wave conflict verifier
   (:mod:`repro.analysis.waves`) proves sound.
 
 Operand references understood by :meth:`ExecContext.resolve`:
@@ -52,7 +52,6 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import compress
 from typing import Any
 
 import numpy as np
@@ -97,7 +96,7 @@ class KernelCall:
 
 NOOP = KernelCall("noop")
 
-_Entry = tuple[KernelCall, int | None]  # one (call, wave) stream entry
+_Entry = tuple[KernelCall, int]  # one (call, wave) stream entry
 
 
 class ExecContext:
@@ -578,107 +577,48 @@ class ExecutorStats:
     calls: int = 0          # kernel calls executed
     batches: int = 0        # handler invocations (groups of calls)
     stacked: int = 0        # calls executed through a stacked-product batch
-    flush_seconds: float = 0.0  # wall-clock spent inside flush()
+    flush_seconds: float = 0.0  # wall-clock spent executing streams
 
 
 class KernelExecutor:
     """Ordered, batching executor of :class:`KernelCall` descriptors.
 
-    The engine :meth:`submit`s each task's kernel at its simulated start
-    (recording per-op trace counters and the task's dependency wave) and
-    :meth:`flush`es once the run completes.
-
-    A flush executes in canonical ``(wave, tid)`` order (DAG depth, task
-    build index), so the bits are a function of the task graph alone,
-    with maximal runs of consecutive same-op calls handed to a batch
-    handler — the only execution mode.  :meth:`run_one` over the per-op
-    :data:`KERNEL_OPS` handlers is the one-at-a-time reference the
-    determinism property tests compare it to.
+    :meth:`execute_stream` is the one entry point: it runs a
+    ``(call, wave)`` stream in order — a graph's canonical
+    ``(wave, tid)`` stream (or a prefix or suffix of it), or a compiled
+    plan's — with maximal runs of consecutive same-op calls handed to a
+    batch handler.  :meth:`run_one` over the per-op :data:`KERNEL_OPS`
+    handlers is the one-at-a-time reference the determinism property
+    tests compare it to.
     """
 
     def __init__(self, context: ExecContext | None = None,
-                 trace: Any = None,
                  flush_hook: Callable[[Any, list[_Entry], list[_Entry]],
                                       None] | None = None) -> None:
         self.context = context if context is not None else ExecContext()
-        self.trace = trace
         # Observer of every flush, called before execution with the
         # (call, wave) stream as submitted and as about to be executed.
-        # The wave verifier (session ``check_waves``) checks the first,
-        # plan recording keeps the second.
+        # The wave verifier (session ``check_waves``) checks the first.
         self.flush_hook = flush_hook
         self.stats = ExecutorStats()
-        self._pending: list[_Entry] = []
-        self._tids: list[int | None] = []
 
-    def submit(self, task: Any, rank: int, device: str,
-               wave: int | None = None) -> None:
-        """Queue a task's kernel; account its op/flops to the trace.
+    def execute_stream(self, stream: Sequence[_Entry],
+                       submitted: Sequence[_Entry] | None = None) -> None:
+        """Execute a ``(call, wave)`` stream, in order, as one flush.
 
-        ``wave`` is the task's DAG depth (0 for roots); the flush orders
-        by ``(wave, task.tid)``.  Submitters without waves (tests, direct
-        replays) leave it ``None``, keep submission order, need no tid.
+        The flush hook sees ``submitted`` (the engine passes the DES start
+        order of the same calls) next to ``stream``; without it, the hook
+        sees the stream as both (plan replays).
         """
-        if self.trace is not None:
-            self.trace.ops.record(rank, task.op, device, task.flops)
-        self._pending.append((task.kernel, wave))
-        self._tids.append(None if wave is None else task.tid)
-
-    def flush(self) -> None:
-        """Execute all pending kernels in canonical (wave, tid) order."""
-        self.flush_through(None)
-
-    def flush_through(self, wave_cut: int | None) -> int:
-        """Execute the pending kernels with wave <= ``wave_cut`` (all if None).
-
-        The checkpoint path: a wave-frontier cut of the canonical stream
-        is a prefix of the fully-sorted stream, so executing it now and
-        the remainder at the final ``flush()`` yields bytes identical to
-        one uncut flush.  Entries without a wave are executed too, and
-        keep submission order (direct submitters do not checkpoint).
-        Returns the number of calls executed.
-        """
-        take, tids = self._pending, self._tids
-        if wave_cut is None:
-            self._pending, self._tids = [], []
-        else:
-            due = [w is None or w <= wave_cut for _c, w in take]
-            later = [not d for d in due]
-            self._pending = list(compress(take, later))
-            self._tids = list(compress(tids, later))
-            take, tids = list(compress(take, due)), list(compress(tids, due))
-        if take:
-            # Sort indices, not per-entry key tuples: allocating tens of
-            # thousands of tuples costs more (GC passes) than the sort.
-            waves = [w for _c, w in take]
-            self._run(take, take if None in waves else [
-                take[i] for i in np.lexsort((tids, waves)).tolist()])
-        return len(take)
-
-    def execute_stream(self, stream: Sequence[_Entry]) -> None:
-        """Execute a prerecorded ``(call, wave)`` stream as one flush.
-
-        The compiled-plan replay path (:mod:`repro.plans`): the stream
-        was recorded in executed order and runs as recorded; the flush
-        hook sees it as both submitted and executed (so the wave verifier
-        covers plan streams too).  Nothing may be pending: plans replace
-        submission, they do not interleave with it.
-        """
-        if self._pending:
-            raise RuntimeError(
-                "execute_stream() with submitted kernels pending; flush "
-                "first or use a dedicated executor")
-        if stream:
-            pending = list(stream)
-            self._run(pending, pending)
-
-    def _run(self, submitted: list[_Entry], executed: list[_Entry]) -> None:
-        """The one flush tail: announce to the hook, then execute."""
+        if not stream:
+            return
         if self.flush_hook is not None:
-            self.flush_hook(self, submitted, executed)
-        self._execute(executed)
+            executed = list(stream)
+            self.flush_hook(self, executed if submitted is None
+                            else list(submitted), executed)
+        self._execute(stream)
 
-    def _execute(self, pending: list[_Entry]) -> None:
+    def _execute(self, pending: Sequence[_Entry]) -> None:
         t0 = time.perf_counter()
         try:
             self._flush_serial([c for c, _ in pending])

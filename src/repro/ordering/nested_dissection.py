@@ -97,12 +97,15 @@ def nested_dissection_order(a: SymmetricCSC, opts: NDOptions | None = None) -> n
     """Nested-dissection elimination order for ``a`` (all components).
 
     Components are dissected one after another, in the order of their
-    smallest vertex.
+    smallest vertex.  A singleton component is its own order.
     """
     opts = opts or NDOptions()
     graph = AdjacencyGraph.from_symmetric(a)
     out: list[np.ndarray] = []
     for comp in connected_components(graph):
+        if comp.size == 1:
+            out.append(comp)
+            continue
         sub, _ = graph.subgraph(comp)
         _nd_recurse(sub, comp, opts, out)
     return np.concatenate(out) if out else np.empty(0, np.int64)

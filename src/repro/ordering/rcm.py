@@ -20,14 +20,19 @@ def _cuthill_mckee(graph: AdjacencyGraph) -> np.ndarray:
     """Cuthill-McKee order over all components (deterministic).
 
     ``order`` doubles as the BFS queue: ``order[head:tail]`` holds the
-    visited vertices still to be expanded.
+    visited vertices still to be expanded.  Isolated vertices sort first
+    by degree and each is its own pseudo-peripheral vertex and whole
+    component, so they are placed up front in one step, with no BFS.
     """
     n = graph.n
     order = np.empty(n, dtype=np.int64)
     visited = np.zeros(n, dtype=bool)
     degs = graph.degrees()
-    head = tail = 0
-    for start in np.argsort(degs, kind="stable"):
+    isolated = np.flatnonzero(degs == 0)
+    order[:isolated.size] = isolated
+    visited[isolated] = True
+    head = tail = isolated.size
+    for start in np.argsort(degs, kind="stable")[isolated.size:]:
         if visited[start]:
             continue
         root = pseudo_peripheral_vertex(graph, int(start))

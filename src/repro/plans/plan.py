@@ -1,14 +1,13 @@
-"""Compiled numeric plans: the recorded kernel stream of one graph run.
+"""Compiled numeric plans: a task graph's kernel stream, frozen.
 
-A :class:`NumericPlan` freezes the exact ``(KernelCall, wave)`` stream a
-DES-driven run flushed through the :class:`~repro.kernels.dispatch
-.KernelExecutor`, together with the run's simulated-time metadata.  The
-DES is deterministic — replaying the same task graph re-derives the same
-stream every time — so executing the frozen stream through an
-identically-configured executor produces **bit-identical** factors while
-skipping the event queue, rank clocks and simulated RPC entirely.  That
-is the warm-refactorization hot path the solve service rides
-(``CommonOptions.plan_mode="on"``).
+A :class:`NumericPlan` freezes a graph's canonical ``(KernelCall, wave)``
+stream (:attr:`~repro.core.tasks.TaskGraph.stream`, the ``(level, tid)``
+order every run of the graph executes) together with the first DES
+run's simulated-time metadata.  Executing the frozen stream through an
+identically-configured executor therefore produces **bit-identical**
+factors while skipping the event queue, rank clocks and simulated RPC
+entirely.  That is the warm-refactorization hot path the solve service
+rides (``CommonOptions.plan_mode="on"``).
 
 :func:`compile_plan` additionally optimises the stream without changing
 its numerics:
@@ -16,7 +15,7 @@ its numerics:
 * **fusion** — maximal runs of consecutive same-wave, same-target
   ``syrk_sub``/``gemm_sub`` scatter calls collapse into one
   ``multi_update`` group.  The group executes its actions in the
-  recorded stream order, and fused members were *consecutive*, so
+  source stream order, and fused members were *consecutive*, so
   no other entry for the same buffer can fall between them;
 * **interning** — operand reference tuples and flat scatter-index
   arrays repeated across the stream are deduplicated by value, shrinking
@@ -39,7 +38,7 @@ import numpy as np
 from ..kernels.dispatch import KernelCall
 from ..pgas.runtime import CommStats
 
-__all__ = ["NumericPlan", "PlanStats", "compile_plan", "compile_stream"]
+__all__ = ["NumericPlan", "PlanStats", "compile_plan"]
 
 # Ops the compile pass may fuse into multi_update groups.  Their scatter
 # semantics (deferred flat-indexed add) are exactly what a multi_update
@@ -64,23 +63,21 @@ class PlanStats:
 
 @dataclass(frozen=True)
 class NumericPlan:
-    """Immutable compiled replay stream of one recorded graph run.
+    """Immutable compiled replay stream of one task graph.
 
     Attributes
     ----------
     kind:
         ``"factor"`` / ``"solve_fwd"`` / ``"solve_bwd"`` — what the
-        recorded run computed.
+        graph computes.
     stream:
         The executable ``(KernelCall, wave)`` stream, post fusion and
-        interning.  Waves are the recording engine's DAG depths, kept
-        so the wave conflict verifier covers plan streams too.
+        interning.  Waves are the graph's DAG depths (levels), kept so
+        the wave conflict verifier covers plan streams too.
     calls:
         Calls in the *source* stream (pre-fusion).
-    wave_count:
-        Distinct wave levels in the stream (0 when waves were absent).
     makespan / tasks / rank_busy / comm:
-        The recording run's simulated-time results.  The DES is
+        The first DES run's simulated-time results.  The DES is
         deterministic, so a replay through the simulator would reproduce
         these numbers exactly — the plan reports them instead of
         re-deriving them.
@@ -94,7 +91,6 @@ class NumericPlan:
     kind: str
     stream: tuple[tuple[KernelCall, int | None], ...]
     calls: int
-    wave_count: int
     makespan: float = 0.0
     tasks: int = 0
     rank_busy: tuple[float, ...] = ()
@@ -192,11 +188,11 @@ def compile_plan(raw: list[tuple[KernelCall, int | None]], *,
                  rank_busy: tuple[float, ...] = (),
                  comm: CommStats | None = None,
                  stats: PlanStats | None = None) -> NumericPlan:
-    """Compile a recorded flush stream into an immutable replay plan.
+    """Compile a ``(call, wave)`` stream into an immutable replay plan.
 
-    ``raw`` is the concatenation of every flush segment the recording
-    run produced, in execution order.  ``stats`` (a solver's
-    :class:`PlanStats`) accumulates compile telemetry when given.
+    ``raw`` is a task graph's canonical stream (or any stream in the
+    order it must execute).  ``stats`` (a solver's :class:`PlanStats`)
+    accumulates compile telemetry when given.
     """
     t0 = time.perf_counter()
     fused, groups, absorbed = _fuse(list(raw))
@@ -209,7 +205,6 @@ def compile_plan(raw: list[tuple[KernelCall, int | None]], *,
         kind=kind,
         stream=stream,
         calls=len(raw),
-        wave_count=len({w for _c, w in stream if w is not None}),
         makespan=makespan,
         tasks=tasks,
         rank_busy=tuple(rank_busy),
@@ -230,8 +225,3 @@ def compile_plan(raw: list[tuple[KernelCall, int | None]], *,
         stats.interned_refs += interner.tuples_hit
     return plan
 
-
-def compile_stream(raw: list[tuple[KernelCall, int | None]],
-                   kind: str = "stream") -> NumericPlan:
-    """Compile a bare stream with no run metadata (analysis tooling)."""
-    return compile_plan(raw, kind=kind)

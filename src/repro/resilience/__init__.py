@@ -8,7 +8,7 @@ Three pillars (see ``docs/resilience.md``):
 * :mod:`repro.resilience.delivery` — sequence-numbered, acknowledged
   signal-RPCs with idempotent dedup and DES-clocked retry + watchdog;
 * :mod:`repro.resilience.checkpoint` — supernode-granular checkpoints
-  with wave-frontier cuts and bit-identical restart.
+  cut at level frontiers (stream prefixes) and bit-identical restart.
 
 The eager surface is import-light (safe for ``core/base.py``); the
 engine-coupled pieces (checkpoint, runner, chaos) load lazily.
@@ -27,7 +27,7 @@ __all__ = [
     "ResilienceError", "RankUnresponsive", "CheckpointIOError",
     "FaultPlanError", "FAULT_KINDS", "FaultPlan", "FaultRecord",
     "FaultInjector", "ResilienceOptions", "ReliableTransport",
-    "CheckpointManager", "CheckpointState", "ResumeState",
+    "CheckpointManager", "CheckpointState",
     "run_resilient", "run_chaos",
 ]
 
@@ -35,7 +35,6 @@ _LAZY = {
     "ReliableTransport": ("delivery", "ReliableTransport"),
     "CheckpointManager": ("checkpoint", "CheckpointManager"),
     "CheckpointState": ("checkpoint", "CheckpointState"),
-    "ResumeState": ("checkpoint", "ResumeState"),
     "run_resilient": ("runner", "run_resilient"),
     "run_chaos": ("chaos", "run_chaos"),
 }

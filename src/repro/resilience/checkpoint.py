@@ -1,19 +1,21 @@
 """Supernode-granular checkpoint/restart for factorization runs.
 
-A checkpoint is cut at a **wave frontier**: after any task completion,
-``frontier = min(wave of unexecuted tasks) - 1``.  Every task whose
-final wave is <= frontier is provably executed (a task's current wave
-only grows toward its final value, so an unexecuted task at or below
-the frontier would contradict the minimum).  The manager then
+A checkpoint is cut at a **level frontier**: after any task completion,
+``frontier = min(level of unexecuted tasks) - 1``, read off the graph's
+static levelization (:meth:`~repro.core.tasks.TaskGraph.levelize`).
+Every task at or below the frontier has executed, and those tasks are
+exactly a prefix of the graph's canonical ``(level, tid)`` stream.  The
+manager then
 
-1. flushes the executor's deferred kernels **through** the frontier
-   (``KernelExecutor.flush_through``) — a prefix of the canonical
-   ``(wave, tid)`` stream, so partial execution cannot perturb bytes;
+1. has the engine execute the stream **through** the frontier
+   (``FanOutEngine.execute_through``) — a prefix of the one stream every
+   run executes, so partial execution cannot perturb bytes;
 2. snapshots the numeric state: every supernode's diagonal block and
    panel (supernode-granular, per ``FactorStorage``), scratch
    accumulators, and in-flight transient payloads;
-3. records the executed set restricted to the frontier plus each task's
-   wave, from which dependency counters are rederivable on restart.
+3. records the executed set (that prefix) and the frontier, from which
+   dependency counters and the stream cursor are rederivable on
+   restart.
 
 Because the cut is a prefix of the same canonical kernel stream every
 run executes, a restart completes with a factor bit-identical to the
@@ -40,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.engine import FanOutEngine
     from ..core.tasks import TaskGraph
 
-__all__ = ["CheckpointState", "ResumeState", "CheckpointManager"]
+__all__ = ["CheckpointState", "CheckpointManager"]
 
 
 @dataclass
@@ -49,21 +51,11 @@ class CheckpointState:
 
     frontier: int
     executed: tuple[int, ...]
-    waves: tuple[int, ...]
     diag: list[np.ndarray] = field(default_factory=list)
     panels: list[np.ndarray] = field(default_factory=list)
     scratch: dict = field(default_factory=dict)
     # key -> (is_tuple, ((was_pool_held, payload), ...))
     transient: dict = field(default_factory=dict)
-
-
-@dataclass
-class ResumeState:
-    """What a restarted engine needs: who ran, at which wave."""
-
-    executed: tuple[int, ...]
-    waves: tuple[int, ...]
-    frontier: int
 
 
 class CheckpointManager:
@@ -76,31 +68,37 @@ class CheckpointManager:
         self.state: CheckpointState | None = None
         self.taken = 0
         self._frontier = -1
+        # Position in the graph's (level, tid) order before which every
+        # task has executed; rescanned forward on each completion.
+        self._scan = 0
 
     # ----------------------------------------------------------- engine API
 
     def begin_run(self, engine: FanOutEngine) -> None:
         """Initial frontier ``-1`` checkpoint, first attempt only."""
+        self._scan = engine.cursor
         if self.state is None:
             self.state = self._capture(engine, frontier=-1)
             self.taken += 1
             self._persist()
 
     def on_task_done(self, engine: FanOutEngine, now: float) -> None:
-        """Advance the wave frontier; cut when it moved far enough."""
+        """Advance the level frontier; cut when it moved far enough."""
         every = self.options.checkpoint_every
         if every <= 0:
             return
-        waves = engine._wave
-        executed = engine._executed
-        unexec = [waves[tid] for tid in range(len(executed))
-                  if not executed[tid]]
-        if not unexec:
-            return  # final completion; the normal flush finishes the run
-        frontier = min(unexec) - 1
+        lev = engine.levelization
+        order, executed = lev.order, engine._executed
+        scan = self._scan
+        while scan < len(order) and executed[order[scan]]:
+            scan += 1
+        self._scan = scan
+        if scan == len(order):
+            return  # final completion; the run's own flush finishes it
+        frontier = int(lev.levels[order[scan]]) - 1
         if frontier - self._frontier < every:
             return
-        engine.executor.flush_through(frontier)
+        engine.execute_through(frontier)
         self.state = self._capture(engine, frontier)
         self._frontier = frontier
         self.taken += 1
@@ -112,10 +110,8 @@ class CheckpointManager:
                  frontier: int) -> CheckpointState:
         ctx = engine.graph.context
         storage = ctx.storage
-        waves = engine._wave
-        executed = tuple(
-            tid for tid in range(len(engine._executed))
-            if engine._executed[tid] and waves[tid] <= frontier)
+        lev = engine.levelization
+        executed = tuple(np.sort(lev.order[:lev.prefix(frontier)]).tolist())
         transient: dict = {}
         for key, val in ctx.transient.items():
             is_tuple = isinstance(val, tuple)
@@ -130,7 +126,6 @@ class CheckpointManager:
         return CheckpointState(
             frontier=frontier,
             executed=executed,
-            waves=tuple(waves),
             diag=[d.copy() for d in storage.diag],
             panels=[p.copy() for p in storage.panels],
             scratch={key: arr.copy() for key, arr in ctx.scratch.items()},
@@ -145,8 +140,12 @@ class CheckpointManager:
 
     # -------------------------------------------------------------- restore
 
-    def restore(self, graph: TaskGraph) -> ResumeState:
-        """Write the last checkpoint back into the graph's run state."""
+    def restore(self, graph: TaskGraph) -> CheckpointState:
+        """Write the last checkpoint back into the graph's run state.
+
+        Returns the checkpoint, whose ``executed`` set and ``frontier``
+        a restarted engine resumes from.
+        """
         state = self.state
         if state is None:
             raise ValueError("no checkpoint to restore")
@@ -172,5 +171,4 @@ class CheckpointManager:
                 else:
                     rebuilt.append(obj)
             ctx.transient[key] = tuple(rebuilt) if is_tuple else rebuilt[0]
-        return ResumeState(executed=state.executed, waves=state.waves,
-                           frontier=state.frontier)
+        return state

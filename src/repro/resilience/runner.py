@@ -16,10 +16,12 @@ is an **attempt loop**:
 
 Fault injection is scoped to the first ``fault_runs`` session runs (the
 factorization); later runs (triangular solves) execute fault-free.
-Every run, resilient or not, flushes its kernels in the canonical
-``(wave, tid)`` order of :class:`~repro.kernels.dispatch.KernelExecutor`,
-so message timing, retries and restarts cannot perturb scatter-add order
-and the whole pipeline stays bit-identical to the fault-free baseline.
+Every run, resilient or not, executes its graph's canonical
+``(level, tid)`` kernel stream, levelized once per graph
+(:meth:`~repro.core.tasks.TaskGraph.levelize`); checkpoint cuts execute
+prefixes of it and a restart resumes at the cut.  So message timing,
+retries and restarts cannot perturb scatter-add order, and the whole
+pipeline stays bit-identical to the fault-free baseline.
 
 The happens-before tracer is finalized only for the *successful*
 attempt: an aborted world's undrained inboxes are a consequence of the

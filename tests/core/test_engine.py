@@ -186,3 +186,45 @@ class TestProtocolFidelity:
         engine._checkpointer = None
         with pytest.raises(RuntimeError, match="unexecuted"):
             engine.run()
+
+
+class TestGraphStream:
+    """The engine executes its graph's stream; the DES order is observed."""
+
+    def _fan_graph(self):
+        # Root t1 feeds t2, then t0: FIFO starts 1, 2, 0; the stream is
+        # (level, tid) order 1, 0, 2.
+        g = TaskGraph()
+        tasks = [g.new_task(kind=TaskKind.DIAG, rank=0, op="POTRF",
+                            flops=float(i + 1), buffer_elems=1,
+                            operand_bytes=8) for i in range(3)]
+        g.add_dependency(tasks[1], tasks[2])
+        g.add_dependency(tasks[1], tasks[0])
+        return g, tasks
+
+    def test_hook_sees_start_order_and_graph_stream(self):
+        g, tasks = self._fan_graph()
+        seen = []
+        engine = FanOutEngine(World(1, perlmutter()), g, CPU_ONLY,
+                              flush_hook=lambda _ex, sub, run:
+                              seen.append((sub, run)))
+        engine.run()
+        [(submitted, executed)] = seen
+        assert executed == g.stream
+        assert [c for c, _w in executed] == [tasks[t].kernel
+                                             for t in (1, 0, 2)]
+        assert submitted == [(tasks[t].kernel, int(g.levels[t]))
+                             for t in (1, 2, 0)]
+        assert engine.cursor == len(g.stream)
+
+    def test_trace_records_at_task_start(self):
+        """Op counters are recorded in the DES, before any kernel runs."""
+        g, tasks = self._fan_graph()
+        at_flush = []
+        engine = FanOutEngine(
+            World(1, perlmutter()), g, CPU_ONLY,
+            flush_hook=lambda _ex, _sub, _run: at_flush.append(
+                (engine.trace.ops.calls[(0, "POTRF", "cpu")],
+                 engine.trace.ops.flops[(0, "POTRF", "cpu")])))
+        engine.run()
+        assert at_flush == [(3, 6.0)]

@@ -6,6 +6,7 @@ import pytest
 from repro import CPU_ONLY, MemoryKindsMode, OffloadPolicy, SolverOptions, SymPackSolver, solve_spd
 from repro.baselines import reference_solve
 from repro.sparse import SymmetricCSC, grid_laplacian_2d, random_spd
+from repro.symbolic import AnalysisCache
 
 
 class TestSolveCorrectness:
@@ -76,9 +77,11 @@ class TestSolveCorrectness:
         """A second solver reuses the first one's symbolic analysis."""
         a1 = grid_laplacian_2d(7, 7, shift=0.1)
         a2 = grid_laplacian_2d(7, 7, shift=0.4)
-        opts = SolverOptions(nranks=2, offload=CPU_ONLY)
+        cache = AnalysisCache()
+        opts = SolverOptions(nranks=2, offload=CPU_ONLY, analysis_cache=cache)
         first = SymPackSolver(a1, opts)
-        second = SymPackSolver(a2, opts, analysis=first.analysis)
+        second = SymPackSolver(a2, opts)
+        assert cache.stats()["mem_hits"] == 1
         assert second.analysis.perm is first.analysis.perm
         second.factorize()
         b = rng.standard_normal(a2.n)

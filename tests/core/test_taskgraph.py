@@ -36,7 +36,7 @@ class TestStructure:
 
     def test_validates(self, corner_case):
         _, _, g = graph_for(corner_case)
-        g.validate()
+        g.levelize()
 
     def test_update_tasks_local_to_target(self, lap2d):
         """U -> F/D edges never cross ranks (fan-out defining property)."""

@@ -82,8 +82,8 @@ class TestCombined:
     def test_graphs_validate(self, factored, rng):
         an, st, pmap = factored
         rhs = rng.standard_normal((an.n, 1))
-        build_forward_graph(an, st, pmap, rhs).validate()
-        build_backward_graph(an, st, pmap, rhs).validate()
+        build_forward_graph(an, st, pmap, rhs).levelize()
+        build_backward_graph(an, st, pmap, rhs).levelize()
 
     def test_message_coalescing_forward(self, factored, rng):
         """FWD_s's solution piece is sent at most once per rank."""

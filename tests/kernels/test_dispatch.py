@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import CPU_ONLY, FactorStorage, build_factor_graph, make_map
-from repro.core.tracing import ExecutionTrace
 from repro.kernels import dense as kd
 from repro.kernels.dispatch import (
     KERNEL_OPS,
@@ -82,20 +81,11 @@ def _sub_calls(seed=0, n_targets=3, calls_per=4, shape=(4, 4)):
     return ctx, calls
 
 
-class _FakeTask:
-    def __init__(self, kernel, op="GEMM", flops=10.0):
-        self.kernel = kernel
-        self.op = op
-        self.flops = flops
-
-
 class TestKernelExecutor:
     def test_flush_matches_eager_execution(self):
         ctx_b, calls = _sub_calls(seed=9)
         ex = KernelExecutor(ctx_b)
-        for c in calls:
-            ex.submit(_FakeTask(c), rank=0, device="cpu")
-        ex.flush()
+        ex.execute_stream([(c, 0) for c in calls])
         ctx_e, _ = _sub_calls(seed=9)  # identical inputs, eager path
         for c in calls:
             KERNEL_OPS[c.op](ctx_e, *c.args)
@@ -106,9 +96,7 @@ class TestKernelExecutor:
     def test_consecutive_same_op_calls_stacked(self):
         ctx, calls = _sub_calls(seed=1)
         ex = KernelExecutor(ctx)
-        for c in calls:
-            ex.submit(_FakeTask(c), rank=0, device="cpu")
-        ex.flush()
+        ex.execute_stream([(c, 0) for c in calls])
         assert ex.stats.calls == len(calls)
         assert ex.stats.batches == 1  # one maximal run of gemm_sub
         assert ex.stats.stacked == len(calls)
@@ -116,43 +104,30 @@ class TestKernelExecutor:
     def test_mixed_ops_split_batches(self):
         ctx, calls = _sub_calls(seed=2, n_targets=1, calls_per=2)
         ex = KernelExecutor(ctx)
-        ex.submit(_FakeTask(calls[0]), 0, "cpu")
-        ex.submit(_FakeTask(KernelCall("noop"), op="NOOP"), 0, "cpu")
-        ex.submit(_FakeTask(calls[1]), 0, "cpu")
-        ex.flush()
+        ex.execute_stream([(calls[0], 0), (KernelCall("noop"), 0),
+                           (calls[1], 0)])
         assert ex.stats.batches == 3
         assert ex.stats.stacked == 0  # no run longer than one call
 
-    def test_trace_records_at_submission(self):
-        trace = ExecutionTrace()
-        ex = KernelExecutor(ExecContext(), trace=trace)
-        ex.submit(_FakeTask(KernelCall("noop"), op="POTRF", flops=5.0),
-                  rank=1, device="gpu")
-        assert trace.ops.calls[(1, "POTRF", "gpu")] == 1
-        assert trace.ops.flops[(1, "POTRF", "gpu")] == 5.0
-
-    def test_flush_runs_in_wave_tid_order(self):
-        """The hook sees the stream as submitted and as executed."""
+    def test_hook_sees_submitted_next_to_executed(self):
         seen = []
         ex = KernelExecutor(ExecContext(), flush_hook=lambda _ex, sub, run:
                             seen.append((sub, run)))
-        calls = [KernelCall("noop") for _ in range(3)]
-        for tid, wave in ((2, 1), (1, 0), (0, 1)):
-            task = _FakeTask(calls[tid])
-            task.tid = tid
-            ex.submit(task, 0, "cpu", wave=wave)
-        ex.flush()
-        submitted, executed = seen[0]
-        assert all(c is calls[t] for t, (c, _w) in zip((2, 1, 0), submitted))
-        assert all(c is calls[t] for t, (c, _w) in zip((1, 0, 2), executed))
-        assert [w for _c, w in executed] == [0, 1, 1]
+        calls = [KernelCall("noop") for _ in range(2)]
+        stream = [(calls[0], 0), (calls[1], 1)]
+        ex.execute_stream(stream, submitted=stream[::-1])
+        ex.execute_stream(stream)  # a plan replay: one stream for both
+        assert seen[0] == (stream[::-1], stream)
+        assert seen[1] == (stream, stream)
+        assert ex.stats.calls == 4
 
-    def test_flush_clears_pending(self):
-        ex = KernelExecutor(ExecContext())
-        ex.submit(_FakeTask(KernelCall("noop")), 0, "cpu")
-        ex.flush()
-        ex.flush()  # idempotent on empty queue
-        assert ex.stats.calls == 1
+    def test_empty_stream_runs_nothing(self):
+        seen = []
+        ex = KernelExecutor(ExecContext(), flush_hook=lambda *args:
+                            seen.append(args))
+        ex.execute_stream([])
+        assert ex.stats.calls == 0 and ex.stats.batches == 0
+        assert not seen
 
     def test_graph_carries_no_closures(self):
         """Every task of a built factor graph is a declarative KernelCall."""
@@ -171,19 +146,7 @@ class TestKernelExecutor:
         an = analyze(a)
         st = FactorStorage(an)
         g = build_factor_graph(an, st, make_map(1), CPU_ONLY)
-        ex = KernelExecutor(g.context)
-        # Submit in a topological order (Kahn), as the engine would.
-        indeg = [t.deps for t in g.tasks]
-        consumers = {t.tid: list(t.local_consumers) for t in g.tasks}
-        ready = [t.tid for t in g.tasks if indeg[t.tid] == 0]
-        while ready:
-            tid = ready.pop(0)
-            ex.submit(g.tasks[tid], rank=0, device="cpu")
-            for c in consumers[tid]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        ex.flush()
+        KernelExecutor(g.context).execute_stream(g.stream)
         l = np.tril(st.to_sparse_factor().toarray())
         expected = np.linalg.cholesky(an.a_perm.to_dense())
         assert np.allclose(l, expected, atol=1e-10)

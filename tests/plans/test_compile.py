@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.solver import SolverOptions
 from repro.kernels.dispatch import KernelCall
-from repro.plans import PlanStats, compile_plan, compile_stream
+from repro.plans import PlanStats, compile_plan
 
 
 def _syrk(tgt, s, lo=0, sign=-1.0):
@@ -22,7 +22,7 @@ def test_adjacent_same_target_runs_fuse():
     tgt = ("panel", 7)
     raw = [(_syrk(tgt, 0), 2), (_gemm(tgt, 0, 1, lo=4), 2),
            (_syrk(tgt, 1, lo=8), 2)]
-    plan = compile_stream(raw)
+    plan = compile_plan(raw)
     assert plan.fused_groups == 1
     assert plan.fused_calls == 3
     assert len(plan.stream) == 1
@@ -39,14 +39,14 @@ def test_adjacent_same_target_runs_fuse():
 def test_wave_boundary_breaks_fusion():
     tgt = ("panel", 7)
     raw = [(_syrk(tgt, 0), 1), (_syrk(tgt, 1), 2)]
-    plan = compile_stream(raw)
+    plan = compile_plan(raw)
     assert plan.fused_groups == 0
     assert [c.op for c, _w in plan.stream] == ["syrk_sub", "syrk_sub"]
 
 
 def test_target_change_breaks_fusion():
     raw = [(_syrk(("panel", 7), 0), 1), (_syrk(("panel", 8), 1), 1)]
-    plan = compile_stream(raw)
+    plan = compile_plan(raw)
     assert plan.fused_groups == 0
 
 
@@ -55,13 +55,13 @@ def test_intervening_op_breaks_fusion():
     raw = [(_syrk(tgt, 0), 1),
            (KernelCall("trsm_block", (7, 0)), 1),
            (_syrk(tgt, 1), 1)]
-    plan = compile_stream(raw)
+    plan = compile_plan(raw)
     assert plan.fused_groups == 0
     assert len(plan.stream) == 3
 
 
 def test_singleton_run_not_fused():
-    plan = compile_stream([(_syrk(("panel", 7), 0), 1)])
+    plan = compile_plan([(_syrk(("panel", 7), 0), 1)])
     assert plan.fused_groups == 0
     assert plan.stream[0][0].op == "syrk_sub"
 
@@ -74,7 +74,7 @@ def test_interning_dedups_refs_and_arrays():
            (KernelCall("trsm_block", (3, 0)), 2),
            (KernelCall("syrk_sub", (("panel", 7), ("diag", 0),
                                     np.arange(4), -1.0)), 3)]
-    plan = compile_stream(raw)
+    plan = compile_plan(raw)
     assert plan.interned_arrays == 1
     assert plan.interned_refs >= 2  # ("panel", 7) and ("diag", 0)
     a0 = plan.stream[0][0].args

@@ -9,13 +9,15 @@ pin that equivalence across the three synthetic workload families plus
 random SPD patterns and seeds.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.ordering.amd import minimum_degree_order
 from repro.sparse import bone_like, flan_like, random_spd, thermal_like
 from repro.sparse.graph import AdjacencyGraph
-from repro.symbolic import analyze
+from repro.symbolic import AnalysisCache, analyze
 from tests.oracles.ordering import minimum_degree_order_reference
 from tests.oracles.symbolic import analyze_reference
 
@@ -115,7 +117,10 @@ def test_factors_bit_identical_across_all_families():
     for solver_cls, opts in _solver_families():
         fast = solver_cls(a, opts)
         fast.factorize()
-        slow = solver_cls(a, opts, analysis=ref)
+        cache = AnalysisCache()
+        cache.put(a, ref)
+        slow = solver_cls(a, replace(opts, analysis_cache=cache))
+        assert slow.analysis.perm is ref.perm, solver_cls.__name__
         slow.factorize()
         lf = fast.storage.to_sparse_factor()
         ls = slow.storage.to_sparse_factor()

@@ -1,6 +1,7 @@
 """Checkpoint save/load round-trips and crash-restart bit-identity."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ def make_state():
     return CheckpointState(
         frontier=3,
         executed=(0, 1, 4),
-        waves=(0, 1, 2, 5, 1, 7),
         diag=[rng.standard_normal((2, 2)), rng.standard_normal((3, 3))],
         panels=[rng.standard_normal((4, 2)), np.zeros((0, 3))],
         scratch={("acc", 1): rng.standard_normal((3, 3))},
@@ -46,7 +46,6 @@ class TestSerializationRoundTrip:
         loaded = load_checkpoint(checkpoint_path(tmp_path, "factor"))
         assert loaded.frontier == state.frontier
         assert loaded.executed == state.executed
-        assert loaded.waves == state.waves
         for a, b in zip(loaded.diag, state.diag):
             assert np.array_equal(a, b)
         for a, b in zip(loaded.panels, state.panels):
@@ -72,6 +71,19 @@ class TestSerializationRoundTrip:
         with pytest.raises(CheckpointIOError):
             load_checkpoint(tmp_path / "nope.npz")
 
+    def test_version_1_file_refused(self, tmp_path):
+        """Files from before the graph-levelized frontier carry waves."""
+        path = save_checkpoint(make_state(), tmp_path)
+        with np.load(path) as archive:
+            contents = {k: archive[k] for k in archive.files}
+        manifest = json.loads(bytes(contents["manifest"]).decode())
+        manifest["version"] = 1
+        contents["manifest"] = np.bytes_(json.dumps(manifest).encode())
+        contents["waves"] = np.zeros(6, dtype=np.int64)
+        np.savez(path, **contents)
+        with pytest.raises(CheckpointIOError, match="version 1"):
+            load_checkpoint(path)
+
     def test_corrupt_file_raises_typed_error(self, tmp_path):
         bad = tmp_path / "factor_checkpoint.npz"
         bad.write_bytes(b"definitely not an npz archive")
@@ -93,17 +105,17 @@ class TestCrashRestartBitIdentity:
         out = (factor_digest(solver), x.tobytes(),
                solver.session.recoveries,
                solver.session.trace.resilience_counts(),
-               info.simulated_seconds)
+               info.simulated_seconds, solver._factor_graph.levels.copy())
         solver.close()
         return out
 
     def test_restart_from_checkpoint_is_bit_identical(self, problem,
                                                       tmp_path):
         a, rhs = problem
-        base_digest, base_x, _, _, makespan = self.run(
+        base_digest, base_x, _, _, makespan, _ = self.run(
             a, rhs, ResilienceOptions(hardened=True, checkpoint_every=2))
         plan = FaultPlan(seed=0, crashes=((1, 0.4 * makespan),))
-        digest, x, recoveries, counts, _ = self.run(
+        digest, x, recoveries, counts, _, levels = self.run(
             a, rhs, ResilienceOptions(
                 hardened=True, faults=plan, checkpoint_every=2,
                 checkpoint_dir=str(tmp_path)))
@@ -113,7 +125,8 @@ class TestCrashRestartBitIdentity:
         assert counts["faults_injected"] >= 1
         assert digest == base_digest
         assert x == base_x
-        # The persisted checkpoint is loadable and frontier-consistent.
+        # The persisted checkpoint is loadable, and its executed set is
+        # exactly the tasks at or below its frontier level.
         persisted = load_checkpoint(checkpoint_path(tmp_path, "factor"))
-        assert all(persisted.waves[tid] <= persisted.frontier
-                   for tid in persisted.executed)
+        assert persisted.executed == tuple(
+            np.flatnonzero(levels <= persisted.frontier).tolist())

@@ -85,7 +85,6 @@ class TestTiers:
 
     def test_eviction_degrades_to_symbolic_not_cold(self, monkeypatch):
         """Evicting a factor keeps the symbolic analysis cached."""
-        import repro.core.base as base
         import repro.symbolic.cache as cache
 
         rebinds = []
@@ -96,7 +95,6 @@ class TestTiers:
             return real(analysis, a)
 
         monkeypatch.setattr(cache, "rebind_analysis_values", counting)
-        monkeypatch.setattr(base, "rebind_analysis_values", counting)
         a = grid_laplacian_2d(6, 6)
         b = grid_laplacian_2d(9, 5)
         config = _fast_config(workers=1, factor_budget_bytes=1)

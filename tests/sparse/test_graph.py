@@ -3,6 +3,7 @@
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 import repro.sparse.graph as graph_module
 from repro.ordering import compute_ordering
@@ -201,3 +202,26 @@ class TestNoPerVertexLoops:
         assert built
         assert len({id(g) for g in built}) == len(built)
         assert counts["bfs"] >= 2 * len(built)
+
+    def test_edgeless_matrix_needs_no_traversal(self, monkeypatch):
+        """Isolated vertices are placed directly: no BFS, no subgraph."""
+        counts = {"bfs": 0, "subgraph": 0}
+        bfs = graph_module.bfs_levels
+        subgraph = AdjacencyGraph.subgraph
+
+        def counting_bfs(graph, root):
+            counts["bfs"] += 1
+            return bfs(graph, root)
+
+        def counting_subgraph(self, vertices):
+            counts["subgraph"] += 1
+            return subgraph(self, vertices)
+
+        monkeypatch.setattr(graph_module, "bfs_levels", counting_bfs)
+        monkeypatch.setattr(AdjacencyGraph, "subgraph", counting_subgraph)
+        n = 5000
+        a = SymmetricCSC.from_any(sp.diags(np.arange(1.0, n + 1.0)))
+        for method in ("rcm", "nd", "scotch_like"):
+            perm = compute_ordering(a, method).perm
+            assert np.array_equal(np.sort(perm), np.arange(n)), method
+        assert counts == {"bfs": 0, "subgraph": 0}
