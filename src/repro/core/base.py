@@ -11,10 +11,15 @@ factor-graph builder (and, optionally, its solve mapping or solve-graph
 builder).  Benches and the paper's Section 2.3 taxonomy comparison can
 therefore treat every family identically.
 
-Task graphs are built once and cached: repeated ``factorize()`` calls
+Task graphs are built once per solver: repeated ``factorize()`` calls
 (the PEXSI pattern) reset the factor storage and the graph's execution
-context, then replay the same graph — yielding bit-identical factors and
-simulated timings each time.
+context, then replay the same work — yielding bit-identical factors and
+simulated timings each time.  Under ``plan_mode="off"`` the replay is
+the cached graph through the DES.  Under ``plan_mode="on"`` the replay
+is the compiled plan, and the solver keeps only the plan and the
+graph's :class:`~repro.kernels.dispatch.ExecContext`: the graph itself
+(tasks, kernel calls, messages, levelization) is dropped once its plan
+exists.
 """
 
 from __future__ import annotations
@@ -95,11 +100,12 @@ class CommonOptions:
     plan_mode:
         ``"on"`` compiles each graph's canonical stream after its first
         DES run (the factorization, and each solve per rhs width) into a
-        :class:`~repro.plans.NumericPlan` and executes every warm
-        repeat straight through the kernel executor's batched flush —
-        no task-graph traversal, no event queue — with bit-identical
-        results (CLI ``--plan``; see ``docs/performance.md``).
-        ``"off"`` (default) keeps the classic DES replay path.
+        :class:`~repro.plans.NumericPlan`, drops the graph, and executes
+        every warm repeat straight through the kernel executor's batched
+        flush — no task-graph traversal, no event queue — with
+        bit-identical results (CLI ``--plan``; see
+        ``docs/performance.md``).  ``"off"`` (default) keeps the graphs
+        and the classic DES replay path.
         Mutually exclusive with ``resilience`` (fault injection needs
         the simulator it would skip).
     """
@@ -253,10 +259,16 @@ class SolverBase:
             })
         self.storage: FactorStorage | None = None
         self._closed = False
+        # Run state kept for the solver's lifetime: the factor graph's
+        # context, and per right-hand-side count
+        # nrhs -> (forward context, backward context, (nrhs, n) rhs buffer).
+        self._factor_ctx: ExecContext | None = None
+        self._solve_ctxs: dict[int, tuple[ExecContext, ExecContext, np.ndarray]] = {}
+        # Task graphs, kept only while no plan replaces them: always under
+        # plan_mode="off" (every run is a DES run), and under "on" until
+        # the graph's first run has compiled its plan.
         self._factor_graph: TaskGraph | None = None
-        # Solve graphs cached per right-hand-side count:
-        # nrhs -> (forward graph, backward graph, (nrhs, n) rhs buffer).
-        self._solve_graphs: dict[int, tuple[TaskGraph, TaskGraph, np.ndarray]] = {}
+        self._solve_graphs: dict[int, tuple[TaskGraph, TaskGraph]] = {}
         self._factorized = False
         # Compiled-plan state (plan_mode="on"): the factor plan is
         # compiled on the first factorization, solve plans per rhs
@@ -317,43 +329,39 @@ class SolverBase:
     def factorize(self) -> FactorizeInfo:
         """Numeric Cholesky factorization ``P A P^T = L L^T``.
 
-        Re-entrant: the task graph is built on the first call and
-        *reused* afterwards — each later call resets the factor storage
-        from ``A`` and the graph's execution context, then replays the
-        identical graph (the repeated-factorization pattern of
-        PEXSI-style applications).  Under ``plan_mode="on"`` the first
-        call additionally compiles the graph's canonical stream into a
-        :class:`~repro.plans.NumericPlan`, and every later call executes
-        that plan straight through the kernel executor — no DES — with
-        bit-identical results.
+        Re-entrant: the task graph is built and run through the DES on
+        the first call; each later call resets the factor storage from
+        ``A`` and the graph's execution context, then repeats the
+        identical work (the repeated-factorization pattern of
+        PEXSI-style applications).  Under ``plan_mode="off"`` a repeat
+        replays the cached graph through the DES.  Under
+        ``plan_mode="on"`` the first call compiles the graph's canonical
+        stream into a :class:`~repro.plans.NumericPlan` and drops the
+        graph; every later call executes that plan straight through the
+        kernel executor — no DES — with bit-identical results.
         """
         if self._closed:
             raise RuntimeError("solver is closed; its buffers were released")
-        cold = self._factor_graph is None
+        cold = self.storage is None
         t_des = time.perf_counter()
         if cold:
             self.storage = FactorStorage(self.analysis,
                                          pool=self.session.pool)
             self._prepare_storage()
             self._factor_graph = self._build_factor_graph()
-            ctx = self._factor_graph.context
-            if ctx is None:
-                self._factor_graph.context = self._exec_context()
-            elif ctx.pool is None:
-                # Builders that construct a bare context (no build-time
-                # scratch) get the session pool patched in post-build.
-                ctx.pool = self.session.pool
+            self._factor_ctx = self._adopt_context(self._factor_graph)
         else:
             self.storage.reset()
             self._prepare_storage()
-            self._factor_graph.context.fresh_run()
+            self._factor_ctx.fresh_run()
         if self._factor_plan is not None:
-            run = self._replay(self._factor_plan, self._factor_graph.context)
+            run = self._replay(self._factor_plan, self._factor_ctx)
         else:
             run = self.session.run(self._factor_graph)
             if self._plan_enabled:
                 self._factor_plan = self._compile(self._factor_graph,
                                                   "factor", run)
+                self._factor_graph = None
         if cold:
             self._first_des_seconds = time.perf_counter() - t_des
             self.session.trace.record_phases(
@@ -369,6 +377,20 @@ class SolverBase:
             mem=run.mem,
             **self._phase_fields(),
         )
+
+    def _adopt_context(self, graph: TaskGraph,
+                       rhs: np.ndarray | None = None) -> ExecContext:
+        """``graph``'s execution context, wired to the session pool.
+
+        Builders that construct no context get a fresh one; builders
+        that construct a bare one (no build-time scratch) get the
+        session pool patched in post-build.
+        """
+        if graph.context is None:
+            graph.context = self._exec_context(rhs=rhs)
+        elif graph.context.pool is None:
+            graph.context.pool = self.session.pool
+        return graph.context
 
     def _compile(self, graph: TaskGraph, kind: str,
                  run: RunResult) -> NumericPlan:
@@ -423,9 +445,9 @@ class SolverBase:
         pattern-derived state.
 
         ``a`` must have exactly the sparsity structure of the analyzed
-        matrix.  The symbolic analysis, the factor-storage layout and any
-        built task graphs survive; the next :meth:`factorize` replays the
-        cached factorization graph on the new values — the cheapest
+        matrix.  The symbolic analysis, the factor-storage layout and the
+        factorization's cached graph or compiled plan survive; the next
+        :meth:`factorize` replays it on the new values — the cheapest
         refactorization path (no ordering, no symbolic phase, no graph
         build).  This is how the solve service refactorizes on
         numeric-only changes.
@@ -452,7 +474,11 @@ class SolverBase:
 
         ``b`` may be a vector or an ``(n, nrhs)`` matrix.  Returns the
         solution in the original (unpermuted) ordering plus solve
-        metadata.  Solve graphs are cached per ``nrhs``.
+        metadata.  The forward and backward solve graphs are built once
+        per ``nrhs``; a repeat of that width replays the cached graphs
+        through the DES (``plan_mode="off"``) or, under
+        ``plan_mode="on"``, the plans compiled on the first solve of
+        that width, which replace its graphs.
         """
         if not self._factorized or self.storage is None:
             raise RuntimeError("call factorize() before solve()")
@@ -463,20 +489,18 @@ class SolverBase:
         vals = b.reshape(self.a.n, -1)
         nrhs = vals.shape[1]
 
-        cached = self._solve_graphs.get(nrhs)
+        cached = self._solve_ctxs.get(nrhs)
         if cached is None:
             # Column-major rhs (the graphs see the transpose): each column
             # is contiguous like a solo rhs, so it solves to the same bits.
             base = self.session.pool.take((nrhs, self.a.n), label="rhs",
                                           zero=False)
             fwd, bwd = self._build_solve_graphs(base.T)
-            for g in (fwd, bwd):
-                if g.context is None:
-                    g.context = self._exec_context(rhs=base.T)
-                elif g.context.pool is None:
-                    g.context.pool = self.session.pool
-            cached = self._solve_graphs[nrhs] = (fwd, bwd, base)
-        fwd, bwd, base = cached
+            self._solve_graphs[nrhs] = (fwd, bwd)
+            cached = self._solve_ctxs[nrhs] = (
+                self._adopt_context(fwd, rhs=base.T),
+                self._adopt_context(bwd, rhs=base.T), base)
+        fwd_ctx, bwd_ctx, base = cached
         rhs = base.T
         rhs[:, :] = vals[self.analysis.perm.perm]
 
@@ -487,21 +511,23 @@ class SolverBase:
         # graphs' canonical (level, tid) streams every DES run executes,
         # so replay and DES produce the same bits.
         plans = self._solve_plans.get(nrhs)
+        graphs = self._solve_graphs.get(nrhs)
         compiled: list[NumericPlan] = []
-        for i, (kind, graph) in enumerate((("solve_fwd", fwd),
-                                           ("solve_bwd", bwd))):
-            graph.context.fresh_run()
+        for i, (kind, ctx) in enumerate((("solve_fwd", fwd_ctx),
+                                         ("solve_bwd", bwd_ctx))):
+            ctx.fresh_run()
             if plans is not None:
-                run = self._replay(plans[i], graph.context)
+                run = self._replay(plans[i], ctx)
             else:
-                run = self.session.run(graph)
+                run = self.session.run(graphs[i])
                 if self._plan_enabled:
-                    compiled.append(self._compile(graph, kind, run))
+                    compiled.append(self._compile(graphs[i], kind, run))
             total_time += run.makespan
             total_tasks += run.tasks_total
             comm += run.comm
         if compiled:
             self._solve_plans[nrhs] = (compiled[0], compiled[1])
+            del self._solve_graphs[nrhs]
 
         x = rhs[self.analysis.perm.iperm].copy()
         if squeeze:
@@ -530,15 +556,15 @@ class SolverBase:
         if self._plan_arena is not None:
             self._plan_arena.retire()
             self._plan_arena = None
-        for fwd, bwd, base in self._solve_graphs.values():
-            for g in (fwd, bwd):
-                if g.context is not None:
-                    g.context.close()
+        for fwd_ctx, bwd_ctx, base in self._solve_ctxs.values():
+            fwd_ctx.close()
+            bwd_ctx.close()
             self.session.pool.give(base)
+        self._solve_ctxs.clear()
         self._solve_graphs.clear()
-        if (self._factor_graph is not None
-                and self._factor_graph.context is not None):
-            self._factor_graph.context.close()
+        if self._factor_ctx is not None:
+            self._factor_ctx.close()
+        self._factor_graph = None
         if self.storage is not None:
             self.storage.release()
         self._factorized = False

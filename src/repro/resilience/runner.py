@@ -53,7 +53,10 @@ def run_resilient(session: ExecutionSession,
     Returns the (successful) world and engine result; the session's
     shared ``_finish_run`` tail handles reclamation and accounting.
     Communication counters from failed attempts are folded into the
-    returned world's stats so nothing injected goes unreported.
+    returned world's stats so nothing injected goes unreported, and
+    their simulated time into the result's makespan: each restarted
+    world's clocks start at 0, so without it a recovered run would
+    report only its last attempt.
     """
     from ..core.engine import FanOutEngine
 
@@ -66,6 +69,7 @@ def run_resilient(session: ExecutionSession,
                     else None)
 
     carry = CommStats()
+    lost_seconds = 0.0  # makespans of the aborted attempts
     resume = None
     run_recoveries = 0
     run_faults = 0
@@ -97,6 +101,7 @@ def run_resilient(session: ExecutionSession,
                 session.fault_schedule.extend(injector.records)
                 run_faults += len(injector.records)
             carry += world.stats
+            lost_seconds += world.makespan()
             for state in world.ranks:
                 if state.device is not None:
                     state.device.release_all()
@@ -117,6 +122,7 @@ def run_resilient(session: ExecutionSession,
         if tracer is not None:
             session.race_findings.extend(tracer.finalize(world))
         world.stats.merge(carry)
+        result.makespan += lost_seconds
         session.trace.add_resilience(
             retries=world.stats.retries, recoveries=run_recoveries,
             checkpoints=checkpointer.taken if checkpointer else 0,

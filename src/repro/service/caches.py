@@ -26,10 +26,11 @@ __all__ = ["FactorCache", "FactorEntry"]
 class FactorEntry:
     """One live factorized solver held by the factor cache.
 
-    ``lock`` serializes workers on the entry: a solver's storage and task
-    graphs are shared mutable state, so only one request may factorize or
-    solve through it at a time (the coalescing path stacks concurrent
-    same-key solves into one multi-RHS run instead).
+    ``lock`` serializes workers on the entry: a solver's storage and
+    execution contexts (and its task graphs, while it keeps any) are
+    shared mutable state, so only one request may factorize or solve
+    through it at a time (the coalescing path stacks concurrent same-key
+    solves into one multi-RHS run instead).
     """
 
     pattern_key: str

@@ -8,9 +8,10 @@ reusable artifact of a solve across requests:
   :class:`~repro.symbolic.cache.AnalysisCache`;
 * numerically identical matrices share one live factor through the
   LRU-budgeted :class:`~repro.service.caches.FactorCache`; numeric-only
-  changes replay the cached factorization graph
-  (:meth:`~repro.core.base.SolverBase.update_values` + graph replay)
-  instead of rebuilding anything;
+  changes replay the cached factorization graph, or its compiled plan
+  under ``plan_mode="on"``
+  (:meth:`~repro.core.base.SolverBase.update_values` + replay) instead
+  of rebuilding anything;
 * pending solves against the same factor are stolen from the queue and
   stacked into one multi-RHS triangular solve (column-deterministic
   kernels keep the results bit-identical to solo solves).
@@ -410,8 +411,8 @@ class SolveService:
                     if entry.values_key == req.values_key:
                         return "factor", entry, 0.0, 0, 0.0
                     # Numeric-only change: swap the values in place and
-                    # replay the cached factorization graph — through the
-                    # compiled plan when one is attached (plan_mode="on").
+                    # replay the factorization — its compiled plan under
+                    # plan_mode="on", its cached graph otherwise.
                     before = self._plan_snapshot(entry.solver)
                     entry.solver.update_values(req.a)
                     info = entry.solver.factorize()

@@ -140,3 +140,42 @@ def test_session_counts_plan_replays():
     assert solver.session.plan_runs == 1
     assert solver.session.runs == info_des_runs + 1
     solver.close()
+
+
+@pytest.mark.parametrize("solver_cls,options_cls", FAMILIES,
+                         ids=lambda v: getattr(v, "__name__", None))
+def test_bits_after_graphs_are_dropped(solver_cls, options_cls):
+    """A plan-mode solver drops each graph once its plan is compiled;
+    everything it runs afterwards still equals a graph-keeping solver."""
+    a = MATRICES["sparse"]()
+    solvers = [solver_cls(a, options_cls(nranks=2, plan_mode=mode))
+               for mode in ("off", "on")]
+    off, on = solvers
+
+    def same(run):
+        ref, got = (run(s) for s in solvers)
+        assert np.array_equal(ref, got)
+
+    def factor(s):
+        s.factorize()
+        return s.storage.to_sparse_factor().toarray()
+
+    def solve(nrhs):
+        rhs = np.linspace(-1.0, 1.0, a.n * nrhs).reshape(a.n, nrhs)
+        return lambda s: s.solve(rhs)[0]
+
+    same(factor)
+    same(solve(1))
+    assert on._factor_graph is None and not on._solve_graphs
+    assert off._factor_graph is not None and sorted(off._solve_graphs) == [1]
+    on.update_values(_shifted(a, 0.4))
+    off.update_values(_shifted(a, 0.4))
+    same(factor)            # refactorize from the plan alone
+    same(solve(1))          # a width seen before the drop
+    same(solve(3))          # a width first seen after it
+    same(solve(3))
+    same(solve(1))
+    assert not on._solve_graphs and sorted(on._solve_plans) == [1, 3]
+    for s in solvers:
+        s.close()
+        assert s.session.ledger.live() == 0

@@ -118,7 +118,7 @@ def test_executed_stream_is_the_graphs(family, matrix, config):
     segments.clear()
     rhs = np.linspace(-1.0, 1.0, a.n * 3).reshape(a.n, 3)
     solver.solve(rhs)
-    fwd, bwd, _ = solver._solve_graphs[3]
+    fwd, bwd = solver._solve_graphs[3]
     _assert_same_stream([e for seg in segments for e in seg],
                         fwd.stream + bwd.stream)
 

@@ -130,3 +130,31 @@ class TestCrashRestartBitIdentity:
         persisted = load_checkpoint(checkpoint_path(tmp_path, "factor"))
         assert persisted.executed == tuple(
             np.flatnonzero(levels <= persisted.frontier).tolist())
+
+    def test_recovered_makespan_counts_the_lost_attempts(self, problem):
+        """A restarted world's clocks start at 0; the aborted attempt's
+        simulated time still belongs to the factorization."""
+        a, _ = problem
+        base = SymPackSolver(a, SolverOptions(nranks=2, resilience=(
+            ResilienceOptions(hardened=True, checkpoint_every=2))))
+        crash_at = 0.4 * base.factorize().simulated_seconds
+        base.close()
+        solver = SymPackSolver(a, SolverOptions(nranks=2, resilience=(
+            ResilienceOptions(hardened=True, checkpoint_every=2,
+                              faults=FaultPlan(seed=0,
+                                               crashes=((1, crash_at),))))))
+        session, worlds = solver.session, []
+        new_world = session._new_world
+
+        def recording_world(tracer=None):
+            worlds.append(new_world(tracer=tracer))
+            return worlds[-1]
+
+        session._new_world = recording_world
+        info = solver.factorize()
+        assert session.recoveries >= 1 and len(worlds) >= 2
+        assert info.simulated_seconds == (
+            worlds[-1].makespan() + sum(w.makespan() for w in worlds[:-1]))
+        assert worlds[0].makespan() > crash_at
+        assert info.simulated_seconds > crash_at
+        solver.close()

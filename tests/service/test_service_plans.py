@@ -10,7 +10,8 @@ never ride a stale plan.
 import numpy as np
 import scipy.sparse as sp
 
-from repro import ServiceConfig, SolveService, SolverOptions
+from repro import ServiceConfig, SolveService, SolverOptions, SymPackSolver
+from repro.service import pattern_key
 from repro.sparse import SymmetricCSC, grid_laplacian_2d, random_spd
 
 PLAN_OPTIONS = SolverOptions(nranks=2, plan_mode="on")
@@ -123,5 +124,46 @@ class TestPlanEviction:
         assert compiles_after > compiles_before
         assert s3.tier == "factor"
         assert np.array_equal(x, x_ref)
+        svc.close()
+        assert svc.ledger.live() == 0
+
+
+class TestCachedSolverHoldsNoGraph:
+    def test_cached_solver_replays_without_graphs(self):
+        """After a pattern's first request its cached solver keeps plans
+        and contexts only; two workers then refactor and re-solve on it,
+        bit for bit equal to a graph-keeping solver."""
+        a = random_spd(50, density=0.15, seed=1)
+
+        def oracle(shift, b):
+            solver = SymPackSolver(_shifted(a, shift), SolverOptions(nranks=2))
+            solver.factorize()
+            x = solver.solve(b)[0]
+            solver.close()
+            return x
+
+        with SolveService(PLAN_OPTIONS, _config(workers=2,
+                                                max_coalesce=4)) as svc:
+            x0, s0 = svc.solve(_shifted(a, 0.0), _rhs(a, 0))
+            solver = svc.factor_cache.get(pattern_key(a)).solver
+            assert s0.tier == "cold"
+            assert solver._factor_graph is None
+            assert not solver._solve_graphs
+            assert solver._factor_plan is not None
+            jobs = [(shift, _rhs(a, 1 + i, ncols=1 + i % 2))
+                    for i, shift in enumerate((0.2, 0.2, 0.0, 0.5, 0.5, 0.0))]
+            futures = [svc.submit(_shifted(a, shift), b) for shift, b in jobs]
+            results = [f.result() for f in futures]
+            # Then one refactor and one factor request, in that order.
+            jobs += [(0.7, _rhs(a, 7)), (0.7, _rhs(a, 8))]
+            results += [svc.solve(_shifted(a, 0.7), b) for _, b in jobs[-2:]]
+            assert svc.factor_cache.get(pattern_key(a)).solver is solver
+            assert not solver._solve_graphs
+        assert np.array_equal(x0, oracle(0.0, _rhs(a, 0)))
+        for (shift, b), (x, stats) in zip(jobs, results):
+            assert stats.tier in ("refactor", "factor")
+            assert np.array_equal(x, oracle(shift, b))
+        assert [stats.tier for _, stats in results[-2:]] == ["refactor",
+                                                              "factor"]
         svc.close()
         assert svc.ledger.live() == 0
