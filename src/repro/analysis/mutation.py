@@ -102,10 +102,12 @@ def _factor_stream() -> tuple:
 
 
 def _late_level(solver, late_level: int) -> list[Finding]:
-    """Session findings of a re-run with one trsm_block's level raised.
+    """Session findings of a DES re-run with one trsm_block's level raised.
 
     The engine executes the stream sorted before the level was raised,
     so only the DES start order the session's own hook verifies shows it.
+    ``factorize()`` would replay the plan instead of simulating, so the
+    graph goes through ``session.run`` directly.
     """
     session, graph = solver.session, solver._factor_graph
     levels = graph.levels
@@ -113,8 +115,10 @@ def _late_level(solver, late_level: int) -> list[Finding]:
     saved = int(levels[late])
     levels[late] = late_level
     session._flush_hook = session._verify_flush
+    solver.storage.reset()
+    graph.context.fresh_run()
     try:
-        solver.factorize()
+        session.run(graph)
     finally:
         levels[late] = saved
     return session.wave_findings

@@ -11,21 +11,25 @@ factor-graph builder (and, optionally, its solve mapping or solve-graph
 builder).  Benches and the paper's Section 2.3 taxonomy comparison can
 therefore treat every family identically.
 
-Task graphs are built once per solver: repeated ``factorize()`` calls
-(the PEXSI pattern) reset the factor storage and the graph's execution
-context, then replay the same work — yielding bit-identical factors and
-simulated timings each time.  Under ``plan_mode="off"`` the replay is
-the cached graph through the DES.  Under ``plan_mode="on"`` the replay
-is the compiled plan, and the solver keeps only the plan and the
-graph's :class:`~repro.kernels.dispatch.ExecContext`: the graph itself
-(tasks, kernel calls, messages, levelization) is dropped once its plan
-exists.
+Each task graph is built once per solver and simulated once: its first
+run goes through the DES and yields a :class:`~repro.plans.NumericPlan`
+(the graph's canonical stream plus that run's simulated results), and
+every later run — a repeated ``factorize()`` (the PEXSI pattern) or a
+repeated solve — resets the storage and the graph's execution context
+and replays that plan through :meth:`SolverBase._replay`, with
+bit-identical factors and simulated timings each time.  ``plan_mode``
+only decides what the plan holds: under ``"on"`` the stream is compiled
+and the graph dropped; under ``"off"`` the plan is the graph's own
+stream and the graph is kept.  The solve streams do not depend on the
+rhs width, so an unseen width is simulated once for its timings and
+replays the first width's streams.  A resilient solver simulates every
+run, because fault injection lives in the simulator.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from ..pgas.runtime import CommStats
 from ..plans import NumericPlan, PlanArena, PlanStats, compile_plan
 from ..resilience.options import ResilienceOptions
 from ..sparse.csc import SymmetricCSC
-from ..sparse.validate import check_finite, probable_spd
+from ..sparse.validate import check_finite, check_rhs, probable_spd
 from ..symbolic.analysis import analyze
 from ..symbolic.cache import AnalysisCache
 from ..symbolic.supernodes import AmalgamationOptions
@@ -87,27 +91,29 @@ class CommonOptions:
         ``hip_device`` / ``ze_device``); pair with the matching machine
         model (:func:`repro.machine.frontier` for HIP, etc.).
     keep_timeline:
-        Record the full per-task timeline in the trace.
+        Record the full per-task timeline in the trace.  It covers each
+        graph's single simulated run (the first factorization, the first
+        solve at each rhs width); replays add nothing to it.
     check_waves:
         Run the wave conflict verifier (:mod:`repro.analysis.waves`) on
         every kernel flush; findings accumulate on the session's
         ``wave_findings`` (CLI ``--check-waves``).
     check_races:
         Attach the PGAS happens-before checker
-        (:mod:`repro.analysis.hb`) to every simulated world; findings
-        accumulate on the session's ``race_findings`` (CLI
+        (:mod:`repro.analysis.hb`) to every simulated world, i.e. to each
+        graph's single simulated run (every run of a resilient solver);
+        findings accumulate on the session's ``race_findings`` (CLI
         ``--check-races``).
     plan_mode:
-        ``"on"`` compiles each graph's canonical stream after its first
-        DES run (the factorization, and each solve per rhs width) into a
-        :class:`~repro.plans.NumericPlan`, drops the graph, and executes
-        every warm repeat straight through the kernel executor's batched
-        flush — no task-graph traversal, no event queue — with
-        bit-identical results (CLI ``--plan``; see
-        ``docs/performance.md``).  ``"off"`` (default) keeps the graphs
-        and the classic DES replay path.
-        Mutually exclusive with ``resilience`` (fault injection needs
-        the simulator it would skip).
+        Every warm run replays the stream of its graph's single DES run
+        in either mode.  ``"on"`` compiles that stream (the factor
+        graph's, and the solve graphs' of the first rhs width, which
+        every width shares) into a :class:`~repro.plans.NumericPlan` and
+        drops the graph (CLI ``--plan``; see ``docs/performance.md``).
+        ``"off"`` (default) replays the graph's own stream uncompiled
+        and keeps the graph.  The bits are the same either way.
+        Mutually exclusive with ``resilience`` (a resilient solver
+        simulates every run, so there is no graph to drop).
     """
 
     nranks: int = 1
@@ -149,9 +155,10 @@ class CommonOptions:
                 f"plan_mode must be 'off' or 'on', got {self.plan_mode!r}")
         if self.plan_mode == "on" and self.resilience is not None:
             raise ValueError(
-                "plan_mode='on' is incompatible with resilience: compiled "
-                "replay skips the simulator that fault injection and "
-                "checkpointing run inside")
+                "plan_mode='on' is incompatible with resilience: it drops "
+                "each graph after its first run, and a resilient solver "
+                "re-simulates every run (fault injection and checkpointing "
+                "live in the simulator)")
 
     def resolved_device_capacity(self) -> int | None:
         """Per-process device segment size (the recommended equal split)."""
@@ -264,16 +271,16 @@ class SolverBase:
         # nrhs -> (forward context, backward context, (nrhs, n) rhs buffer).
         self._factor_ctx: ExecContext | None = None
         self._solve_ctxs: dict[int, tuple[ExecContext, ExecContext, np.ndarray]] = {}
-        # Task graphs, kept only while no plan replaces them: always under
-        # plan_mode="off" (every run is a DES run), and under "on" until
-        # the graph's first run has compiled its plan.
+        # Task graphs: kept under plan_mode="off"; under "on" only until
+        # their first (simulated) run has produced their plan.
         self._factor_graph: TaskGraph | None = None
         self._solve_graphs: dict[int, tuple[TaskGraph, TaskGraph]] = {}
         self._factorized = False
-        # Compiled-plan state (plan_mode="on"): the factor plan is
-        # compiled on the first factorization, solve plans per rhs
-        # width on the first solve of that width; the arena retains
-        # kernel-held buffers between replays (see repro.plans).
+        # Plans every run after a graph's first replays (see _run): the
+        # factor plan, and per rhs width a (forward, backward) pair that
+        # shares the first width's streams and carries its own simulated
+        # results.  The arena retains kernel-held buffers between
+        # replays (see repro.plans).
         self.plan_stats = PlanStats()
         self._factor_plan: NumericPlan | None = None
         self._solve_plans: dict[int, tuple[NumericPlan, NumericPlan]] = {}
@@ -330,15 +337,12 @@ class SolverBase:
         """Numeric Cholesky factorization ``P A P^T = L L^T``.
 
         Re-entrant: the task graph is built and run through the DES on
-        the first call; each later call resets the factor storage from
-        ``A`` and the graph's execution context, then repeats the
-        identical work (the repeated-factorization pattern of
-        PEXSI-style applications).  Under ``plan_mode="off"`` a repeat
-        replays the cached graph through the DES.  Under
-        ``plan_mode="on"`` the first call compiles the graph's canonical
-        stream into a :class:`~repro.plans.NumericPlan` and drops the
-        graph; every later call executes that plan straight through the
-        kernel executor — no DES — with bit-identical results.
+        the first call, which yields its plan (see :meth:`_run`); each
+        later call resets the factor storage from ``A`` and the graph's
+        execution context, then replays that plan — no DES — with
+        bit-identical factors and the first run's simulated results
+        (the repeated-factorization pattern of PEXSI-style
+        applications).  A resilient solver re-simulates every call.
         """
         if self._closed:
             raise RuntimeError("solver is closed; its buffers were released")
@@ -354,14 +358,11 @@ class SolverBase:
             self.storage.reset()
             self._prepare_storage()
             self._factor_ctx.fresh_run()
-        if self._factor_plan is not None:
-            run = self._replay(self._factor_plan, self._factor_ctx)
-        else:
-            run = self.session.run(self._factor_graph)
-            if self._plan_enabled:
-                self._factor_plan = self._compile(self._factor_graph,
-                                                  "factor", run)
-                self._factor_graph = None
+        run, self._factor_plan = self._run(
+            self._factor_graph, self._factor_plan, self._factor_ctx,
+            "factor")
+        if self._plan_enabled:
+            self._factor_graph = None
         if cold:
             self._first_des_seconds = time.perf_counter() - t_des
             self.session.trace.record_phases(
@@ -392,13 +393,35 @@ class SolverBase:
             graph.context.pool = self.session.pool
         return graph.context
 
-    def _compile(self, graph: TaskGraph, kind: str,
-                 run: RunResult) -> NumericPlan:
-        """Compile ``graph``'s canonical stream, with ``run``'s timings."""
-        return compile_plan(
-            graph.stream, kind=kind, makespan=run.makespan,
-            tasks=run.tasks_total, rank_busy=tuple(run.rank_busy),
-            comm=CommStats() + run.comm, stats=self.plan_stats)
+    def _run(self, graph: TaskGraph | None, plan: NumericPlan | None,
+             ctx: ExecContext, kind: str, like: NumericPlan | None = None
+             ) -> tuple[RunResult, NumericPlan]:
+        """One run of a graph: simulate it once, replay its plan after.
+
+        With a ``plan`` the run is a :meth:`_replay`, unless the session
+        is resilient (fault injection lives in the simulator).  Otherwise
+        ``graph`` runs through the DES, and a first run returns the plan
+        later runs replay, holding this run's simulated results: ``like``
+        with new timings when given (an unseen rhs width shares the first
+        width's streams), else ``graph.stream`` — compiled under
+        ``plan_mode="on"``.
+        """
+        if plan is not None and self.session.resilience is None:
+            return self._replay(plan, ctx), plan
+        run = self.session.run(graph)
+        if plan is None:
+            timings = dict(makespan=run.makespan, tasks=run.tasks_total,
+                           rank_busy=tuple(run.rank_busy),
+                           comm=CommStats() + run.comm)
+            if like is not None:
+                plan = replace(like, **timings)
+            elif self._plan_enabled:
+                plan = compile_plan(graph.stream, kind=kind,
+                                    stats=self.plan_stats, **timings)
+            else:
+                plan = NumericPlan(kind=kind, stream=graph.stream,
+                                   calls=len(graph.stream), **timings)
+        return run, plan
 
     def _phase_fields(self) -> dict[str, float]:
         """Cold-path phase breakdown (ms) for :class:`FactorizeInfo`."""
@@ -411,13 +434,14 @@ class SolverBase:
         }
 
     def _replay(self, plan: NumericPlan, ctx: ExecContext) -> RunResult:
-        """Run one compiled plan against ``ctx`` with the arena installed.
+        """Run one plan against ``ctx`` with the arena installed — the
+        only warm path, in both plan modes.
 
         No task-graph traversal, no event queue, no simulated RPC: a
-        fresh executor runs the plan's frozen stream, observed by the
-        session's flush hook exactly as live flushes are (wave checking
-        covers the compiled hot path too).  The simulated-time results
-        are the first DES run's.  The context deliberately skips
+        fresh executor runs the plan's stream (compiled or not),
+        observed by the session's flush hook exactly as live flushes are
+        (wave checking covers the warm path too).  The simulated-time
+        results are the graph's DES run's.  The context deliberately skips
         ``end_run()``: scratch stays resident (zeroed in place by the
         next ``fresh_run``) and the arena retains kernel-held buffers,
         so replays after the first perform zero pool takes and zero
@@ -446,7 +470,7 @@ class SolverBase:
 
         ``a`` must have exactly the sparsity structure of the analyzed
         matrix.  The symbolic analysis, the factor-storage layout and the
-        factorization's cached graph or compiled plan survive; the next
+        factorization's plan survive; the next
         :meth:`factorize` replays it on the new values — the cheapest
         refactorization path (no ordering, no symbolic phase, no graph
         build).  This is how the solve service refactorizes on
@@ -472,19 +496,19 @@ class SolverBase:
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveInfo]:
         """Solve ``A x = b`` using the computed factor.
 
-        ``b`` may be a vector or an ``(n, nrhs)`` matrix.  Returns the
-        solution in the original (unpermuted) ordering plus solve
-        metadata.  The forward and backward solve graphs are built once
-        per ``nrhs``; a repeat of that width replays the cached graphs
-        through the DES (``plan_mode="off"``) or, under
-        ``plan_mode="on"``, the plans compiled on the first solve of
-        that width, which replace its graphs.
+        ``b`` may be a length-``n`` vector or an ``(n, nrhs)`` matrix;
+        any other shape raises ``ValueError``.  Returns the solution in
+        the original (unpermuted) ordering plus solve metadata.  The
+        forward and backward solve graphs of a width are built and
+        simulated on its first solve, for their simulated results; the
+        streams they replay afterwards are the first width's, since each
+        solve kernel updates a row range across all the rhs columns.
         """
         if not self._factorized or self.storage is None:
             raise RuntimeError("call factorize() before solve()")
         if self._closed:
             raise RuntimeError("solver is closed; its buffers were released")
-        b = np.asarray(b, dtype=np.float64)
+        b = check_rhs(b, self.a.n)
         squeeze = b.ndim == 1
         vals = b.reshape(self.a.n, -1)
         nrhs = vals.shape[1]
@@ -507,27 +531,21 @@ class SolverBase:
         total_time = 0.0
         total_tasks = 0
         comm = CommStats()
-        # Warm path: both sweeps replay their compiled streams, the
-        # graphs' canonical (level, tid) streams every DES run executes,
-        # so replay and DES produce the same bits.
-        plans = self._solve_plans.get(nrhs)
-        graphs = self._solve_graphs.get(nrhs)
-        compiled: list[NumericPlan] = []
+        plans = self._solve_plans.get(nrhs, (None, None))
+        first = next(iter(self._solve_plans.values()), (None, None))
+        graphs = self._solve_graphs.get(nrhs, (None, None))
+        ran: list[NumericPlan] = []
         for i, (kind, ctx) in enumerate((("solve_fwd", fwd_ctx),
                                          ("solve_bwd", bwd_ctx))):
             ctx.fresh_run()
-            if plans is not None:
-                run = self._replay(plans[i], ctx)
-            else:
-                run = self.session.run(graphs[i])
-                if self._plan_enabled:
-                    compiled.append(self._compile(graphs[i], kind, run))
+            run, plan = self._run(graphs[i], plans[i], ctx, kind, first[i])
+            ran.append(plan)
             total_time += run.makespan
             total_tasks += run.tasks_total
             comm += run.comm
-        if compiled:
-            self._solve_plans[nrhs] = (compiled[0], compiled[1])
-            del self._solve_graphs[nrhs]
+        self._solve_plans[nrhs] = (ran[0], ran[1])
+        if self._plan_enabled:
+            self._solve_graphs.pop(nrhs, None)
 
         x = rhs[self.analysis.perm.iperm].copy()
         if squeeze:

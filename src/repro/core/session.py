@@ -123,8 +123,8 @@ class ExecutionSession:
         self.resilient_runs = 0
         self.fault_schedule: list = []
         self.recoveries = 0
-        # Compiled-plan replays accounted through record_replay(): runs
-        # that executed a frozen kernel stream instead of the DES.
+        # Plan replays accounted through record_replay(): runs that
+        # executed a graph's kernel stream instead of the DES.
         self.plan_runs = 0
 
     def _verify_flush(self, executor, submitted, executed) -> None:
@@ -168,7 +168,7 @@ class ExecutionSession:
     # ----------------------------------------------------------- execution
 
     def record_replay(self, comm: CommStats) -> None:
-        """Account one compiled-plan replay (no world was built).
+        """Account one plan replay (no world was built).
 
         Plan execution (:mod:`repro.plans`) bypasses :meth:`run`
         entirely; this keeps the session's cross-run accumulators —
@@ -226,7 +226,11 @@ class ExecutionSession:
         # device segments (per-task staging buffers) and return the run's
         # kernel scratch to the pool.  ``result.mem`` already captured the
         # in-run peaks; the post-reclamation snapshot goes on the trace so
-        # every layer reports from the same watermark history.
+        # every layer reports from the same watermark history.  Dropping
+        # the engine's wake hook breaks the engine <-> world cycle, so the
+        # engine and the graph it holds are freed by reference counting
+        # when the caller lets go of the graph, not at the next full GC.
+        world.wake_hooks.clear()
         for state in world.ranks:
             if state.device is not None:
                 state.device.release_all()

@@ -1,5 +1,9 @@
 """Dense kernels (POTRF/TRSM/SYRK/GEMM), flop formulas and the
-declarative kernel-dispatch layer."""
+declarative kernel-dispatch layer.
+
+Importing this package pins the bundled OpenBLAS libraries to one thread
+(:func:`~repro.kernels.dense.pin_blas_threads`), so factors and solutions
+do not depend on ``OPENBLAS_NUM_THREADS``."""
 
 from .dense import (
     OP_GEMM,
@@ -7,6 +11,7 @@ from .dense import (
     OP_SYRK,
     OP_TRSM,
     gemm_nt,
+    pin_blas_threads,
     potrf,
     syrk_lower,
     trsm_right_lower_trans,
@@ -22,12 +27,15 @@ from .flops import (
     trsv_flops,
 )
 
+pin_blas_threads()
+
 __all__ = [
     "OP_GEMM",
     "OP_POTRF",
     "OP_SYRK",
     "OP_TRSM",
     "gemm_nt",
+    "pin_blas_threads",
     "potrf",
     "syrk_lower",
     "trsm_right_lower_trans",

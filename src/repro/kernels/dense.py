@@ -9,19 +9,52 @@ NumPy arrays; SciPy routes them to the platform BLAS/LAPACK.
 
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
+import scipy
 from scipy.linalg.blas import dtrsm as _dtrsm
 from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 from ..sparse.validate import NotPositiveDefiniteError
 
 __all__ = ["potrf", "trsm_right_lower_trans", "trsv", "syrk_lower", "gemm_nt",
-           "OP_POTRF", "OP_TRSM", "OP_SYRK", "OP_GEMM"]
+           "pin_blas_threads", "OP_POTRF", "OP_TRSM", "OP_SYRK", "OP_GEMM"]
 
 OP_POTRF = "POTRF"
 OP_TRSM = "TRSM"
 OP_SYRK = "SYRK"
 OP_GEMM = "GEMM"
+
+# The OpenBLAS builds the NumPy and SciPy wheels bundle, and the thread
+# setter each exports.  NumPy's serves ``np.linalg`` and ``@``; SciPy's
+# serves the ``scipy.linalg`` BLAS/LAPACK wrappers below.
+_BUNDLED_BLAS = ((np, "scipy_openblas_set_num_threads64_"),
+                 (scipy, "scipy_openblas_set_num_threads"))
+
+
+def pin_blas_threads() -> None:
+    """Run the bundled OpenBLAS libraries on one thread.
+
+    The solver's parallelism is its simulated ranks, not BLAS threads,
+    and a threaded OpenBLAS splits large POTRF / TRSM calls differently
+    from a serial one, so the factor's bits would depend on
+    ``OPENBLAS_NUM_THREADS``.  Called once when :mod:`repro.kernels` is
+    imported.  A BLAS that exports no setter (another build, another
+    vendor) is left as it is.
+    """
+    for package, setter in _BUNDLED_BLAS:
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so*")):
+            try:
+                fn = getattr(ctypes.CDLL(str(path)), setter, None)
+            except OSError:
+                continue
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(1)
 
 
 def potrf(a: np.ndarray) -> np.ndarray:

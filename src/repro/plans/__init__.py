@@ -1,9 +1,9 @@
-"""Compiled numeric plans: DES-free warm refactorization and solves.
+"""Numeric plans: DES-free warm refactorization and solves.
 
 See :mod:`repro.plans.plan` for the design.  Public surface:
 
-* :class:`NumericPlan` / :class:`PlanStats` — the immutable compiled
-  stream and per-solver plan telemetry;
+* :class:`NumericPlan` / :class:`PlanStats` — a graph's stream (compiled
+  or not) with its simulated results, and per-solver plan telemetry;
 * :func:`compile_plan` — the compile pass (fusion + interning) over a
   task graph's canonical stream (:attr:`~repro.core.tasks.TaskGraph
   .stream`, levelized once per graph); a plan is replayed by handing

@@ -1,16 +1,19 @@
-"""Compiled numeric plans: a task graph's kernel stream, frozen.
+"""Numeric plans: a task graph's kernel stream plus its simulated results.
 
-A :class:`NumericPlan` freezes a graph's canonical ``(KernelCall, wave)``
+A :class:`NumericPlan` holds a graph's canonical ``(KernelCall, wave)``
 stream (:attr:`~repro.core.tasks.TaskGraph.stream`, the ``(level, tid)``
-order every run of the graph executes) together with the first DES
-run's simulated-time metadata.  Executing the frozen stream through an
+order every run of the graph executes) together with the simulated-time
+results of the graph's single DES run.  Executing the stream through an
 identically-configured executor therefore produces **bit-identical**
 factors while skipping the event queue, rank clocks and simulated RPC
-entirely.  That is the warm-refactorization hot path the solve service
-rides (``CommonOptions.plan_mode="on"``).
+entirely.  Every run of a solver after a graph's first replays a plan
+(:meth:`~repro.core.base.SolverBase._replay`), in both plan modes:
+under ``plan_mode="off"`` the plan holds the graph's own stream,
+under ``"on"`` the stream :func:`compile_plan` produced.  The solve
+streams do not depend on the rhs width, so every width's solve plans
+share one stream and differ only in their simulated results.
 
-:func:`compile_plan` additionally optimises the stream without changing
-its numerics:
+:func:`compile_plan` optimises the stream without changing its numerics:
 
 * **fusion** — maximal runs of consecutive same-wave, same-target
   ``syrk_sub``/``gemm_sub`` scatter calls collapse into one
@@ -71,16 +74,16 @@ class NumericPlan:
         ``"factor"`` / ``"solve_fwd"`` / ``"solve_bwd"`` — what the
         graph computes.
     stream:
-        The executable ``(KernelCall, wave)`` stream, post fusion and
-        interning.  Waves are the graph's DAG depths (levels), kept so
+        The executable ``(KernelCall, wave)`` stream: post fusion and
+        interning when compiled, the graph's own stream otherwise.  Waves are the graph's DAG depths (levels), kept so
         the wave conflict verifier covers plan streams too.
     calls:
         Calls in the *source* stream (pre-fusion).
     makespan / tasks / rank_busy / comm:
-        The first DES run's simulated-time results.  The DES is
-        deterministic, so a replay through the simulator would reproduce
-        these numbers exactly — the plan reports them instead of
-        re-deriving them.
+        The DES run's simulated-time results (for a solve plan, at its
+        rhs width).  The DES is deterministic, so a replay through the
+        simulator would reproduce these numbers exactly — the plan
+        reports them instead of re-deriving them.
     fused_groups / fused_calls / interned_arrays / interned_refs:
         What the compile pass did (also accumulated on the solver's
         :class:`PlanStats`).

@@ -65,9 +65,10 @@ class ServiceStats:
         Service memory-ledger peak bytes at completion — the high-water
         mark over everything the service has run so far.
     plan_hits:
-        Compiled-plan replays this request's work rode through
-        (refactorization and/or solve sweeps executed as frozen kernel
-        streams instead of DES runs; 0 when ``plan_mode`` is off).
+        Plan replays this request's work rode through (refactorization
+        and/or solve sweeps executed as kernel streams instead of DES
+        runs).  Every run after a graph's first is a replay, in either
+        plan mode; only resilient solvers never replay.
     plan_compile_ms:
         Wall-clock milliseconds spent compiling new plans on behalf of
         this request (first-run recording cost; 0.0 on warm paths).

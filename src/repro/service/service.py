@@ -8,10 +8,9 @@ reusable artifact of a solve across requests:
   :class:`~repro.symbolic.cache.AnalysisCache`;
 * numerically identical matrices share one live factor through the
   LRU-budgeted :class:`~repro.service.caches.FactorCache`; numeric-only
-  changes replay the cached factorization graph, or its compiled plan
-  under ``plan_mode="on"``
+  changes replay the cached factorization's plan
   (:meth:`~repro.core.base.SolverBase.update_values` + replay) instead
-  of rebuilding anything;
+  of rebuilding or re-simulating anything;
 * pending solves against the same factor are stolen from the queue and
   stacked into one multi-RHS triangular solve (column-deterministic
   kernels keep the results bit-identical to solo solves).
@@ -42,6 +41,7 @@ from ..core.tracing import ExecutionTrace
 from ..memory import BufferPool, MemoryLedger
 from ..pgas.runtime import CommStats
 from ..sparse.csc import SymmetricCSC
+from ..sparse.validate import check_rhs
 from ..symbolic.cache import AnalysisCache
 from .caches import FactorCache, FactorEntry
 from .keys import matrix_keys
@@ -138,8 +138,8 @@ class ServiceCounters:
     refactorizations: int = 0
     solve_runs: int = 0
     coalesced_requests: int = 0
-    # Compiled-plan telemetry (plan_mode="on"): replays executed as
-    # frozen kernel streams, plans compiled, and total compile cost.
+    # Plan telemetry: replays executed as kernel streams (either plan
+    # mode), plans compiled (plan_mode="on"), and total compile cost.
     plan_hits: int = 0
     plan_compiles: int = 0
     plan_compile_ms: float = 0.0
@@ -286,10 +286,7 @@ class SolveService:
         if not self._started:
             raise RuntimeError("call start() (or use the context manager) "
                                "before submitting")
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != a.n:
-            raise ValueError(
-                f"rhs has {b.shape[0]} rows, matrix has n={a.n}")
+        b = check_rhs(b, a.n)
         squeeze = b.ndim == 1
         vals = b.reshape(a.n, -1).copy()
         pkey, vkey = matrix_keys(a)
@@ -401,8 +398,8 @@ class SolveService:
         Called under the pattern's key lock, so concurrent requests on
         one pattern never duplicate symbolic or numeric work.  Returns
         ``(tier, entry, factor_seconds, plan_hits, plan_compile_ms)`` —
-        the last two attribute compiled-plan work (plan_mode="on") to
-        the materialization.
+        the last two attribute plan replays and compiles to the
+        materialization.
         """
         entry = self.factor_cache.get(req.pattern_key)
         if entry is not None:
@@ -411,8 +408,7 @@ class SolveService:
                     if entry.values_key == req.values_key:
                         return "factor", entry, 0.0, 0, 0.0
                     # Numeric-only change: swap the values in place and
-                    # replay the factorization — its compiled plan under
-                    # plan_mode="on", its cached graph otherwise.
+                    # replay the factorization's plan.
                     before = self._plan_snapshot(entry.solver)
                     entry.solver.update_values(req.a)
                     info = entry.solver.factorize()
@@ -486,10 +482,10 @@ class SolveService:
         """One (possibly stacked) triangular solve for ``batch``.
 
         ``plan_hits``/``plan_compile_ms`` carry the materialization's
-        compiled-plan work; the solve's own plan work (warm sweeps for
-        this rhs width replay frozen streams) is added here.  The leader
-        is stamped with the combined totals, followers with the solve
-        share they actually rode.
+        plan work; the solve's own plan work (sweeps after the solver's
+        first solve at this rhs width replay the shared solve streams)
+        is added here.  The leader is stamped with the combined totals,
+        followers with the solve share they actually rode.
         """
         solver = entry.solver
         stacked = (batch[0].b if len(batch) == 1

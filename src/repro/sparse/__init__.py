@@ -32,6 +32,7 @@ from .validate import (
     NotPositiveDefiniteError,
     NotSymmetricError,
     check_finite,
+    check_rhs,
     check_square,
     check_symmetric,
     probable_spd,
@@ -78,6 +79,7 @@ __all__ = [
     "NotPositiveDefiniteError",
     "NotSymmetricError",
     "check_finite",
+    "check_rhs",
     "check_square",
     "check_symmetric",
     "probable_spd",

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from .csc import SymmetricCSC
 
 __all__ = ["NotSymmetricError", "NotPositiveDefiniteError", "check_square",
-           "check_symmetric", "check_finite", "probable_spd"]
+           "check_symmetric", "check_finite", "check_rhs", "probable_spd"]
 
 
 class NotSymmetricError(ValueError):
@@ -42,6 +42,17 @@ def check_finite(a: SymmetricCSC) -> None:
     """Raise ``ValueError`` if the matrix contains NaN or infinity."""
     if not np.all(np.isfinite(a.lower.data)):
         raise ValueError("matrix contains non-finite entries")
+
+
+def check_rhs(b: np.ndarray, n: int) -> np.ndarray:
+    """``b`` as float64, if it is a length-``n`` vector or has ``n`` rows
+    and two dimensions; ``ValueError`` otherwise (a wrong height would
+    otherwise reshape silently into a different number of columns)."""
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"rhs of shape {b.shape} does not fit a matrix "
+                         f"with n={n}: expected ({n},) or ({n}, k)")
+    return b
 
 
 def probable_spd(a: SymmetricCSC) -> bool:

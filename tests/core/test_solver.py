@@ -163,6 +163,29 @@ class TestApiGuards:
         with pytest.raises(RuntimeError):
             SymPackSolver(lap2d).factor_sparse()
 
+    def test_solve_rejects_double_height_vector(self):
+        # n = 36: a length-72 vector must not be solved as two columns.
+        a = grid_laplacian_2d(6, 6)
+        solver = SymPackSolver(a)
+        solver.factorize()
+        with pytest.raises(ValueError, match="rhs of shape"):
+            solver.solve(np.ones(2 * a.n))
+
+    def test_solve_rejects_double_height_matrix(self):
+        # A (72, 1) rhs must not come back as a (36, 2) solution.
+        a = grid_laplacian_2d(6, 6)
+        solver = SymPackSolver(a)
+        solver.factorize()
+        with pytest.raises(ValueError, match="rhs of shape"):
+            solver.solve(np.ones((2 * a.n, 1)))
+
+    def test_solve_rejects_three_dimensional_rhs(self):
+        a = grid_laplacian_2d(6, 6)
+        solver = SymPackSolver(a)
+        solver.factorize()
+        with pytest.raises(ValueError, match="rhs of shape"):
+            solver.solve(np.ones((a.n, 2, 2)))
+
 
 class TestInfoReporting:
     def test_factorize_info_fields(self, lap2d):

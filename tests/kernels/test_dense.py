@@ -1,10 +1,16 @@
 """Unit tests for the dense BLAS-3/LAPACK kernel wrappers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from scipy.linalg import solve_triangular
 
+import repro
 from repro.kernels import gemm_nt, potrf, syrk_lower, trsm_right_lower_trans
 from repro.kernels.dense import trsv
 from repro.sparse import NotPositiveDefiniteError
@@ -119,3 +125,37 @@ class TestKernelsCompose:
         assert np.allclose(l11, full[:n1, :n1])
         assert np.allclose(l21, full[n1:, :n1])
         assert np.allclose(l22, full[n1:, n1:])
+
+
+# Factor + 2-column solve of a matrix whose last supernode is 204 wide:
+# large enough for OpenBLAS's threaded POTRF / TRSM paths, which round
+# differently from the serial ones.
+_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from repro import SolverOptions, SymPackSolver
+from repro.sparse import random_spd
+a = random_spd(300, density=0.05, seed=0)
+solver = SymPackSolver(a, SolverOptions(nranks=2))
+solver.factorize()
+x, _ = solver.solve(np.linspace(-1.0, 1.0, 2 * a.n).reshape(a.n, 2))
+h = hashlib.sha256(solver.factor_sparse().toarray().tobytes())
+h.update(x.tobytes())
+print(h.hexdigest())
+"""
+
+
+class TestBlasThreadPin:
+    def test_bits_do_not_depend_on_openblas_threads(self):
+        """Importing repro.kernels pins the bundled OpenBLAS to one
+        thread, so the environment's thread count cannot change a bit."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", _HASH_SCRIPT],
+                                 env=env, capture_output=True, text=True,
+                                 check=True, timeout=120)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1, digests

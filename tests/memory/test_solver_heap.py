@@ -6,8 +6,8 @@ messages and levelization are dead weight, and they are most of a
 solver's heap.  These tests pin that they are gone: the ``tracemalloc``
 live heap of a factorized and solved ``plan_mode="on"`` solver is a
 fraction of the same solver under ``plan_mode="off"`` (which keeps its
-graphs because it replays through the DES), and no ``TaskGraph`` of a
-plan-mode solver survives its first runs.
+graphs), and no ``TaskGraph`` of a plan-mode solver survives its first
+runs — not even until the next cyclic garbage collection.
 """
 
 import gc
@@ -56,9 +56,10 @@ def test_plan_solver_heap_is_a_fraction_of_graph_solver(matrix):
     assert ratio <= bound, f"{matrix}: plan/graph heap ratio {ratio:.3f}"
 
 
-def _solver_graphs(solver) -> list[TaskGraph]:
+def _solver_graphs(solver, collect: bool = True) -> list[TaskGraph]:
     """Every live task graph whose context runs on ``solver``'s factor."""
-    gc.collect()
+    if collect:
+        gc.collect()
     return [o for o in gc.get_objects()
             if isinstance(o, TaskGraph) and o.context is not None
             and o.context.storage is solver.storage]
@@ -67,11 +68,20 @@ def _solver_graphs(solver) -> list[TaskGraph]:
 @pytest.mark.parametrize("plan_mode,graphs", [("on", 0), ("off", 5)])
 def test_no_task_graph_outlives_its_plan(plan_mode, graphs):
     """Factor graph + a (fwd, bwd) pair per width under "off"; none under
-    "on", where each graph is dropped as soon as its plan is compiled."""
+    "on", where each graph is dropped after its first run.  A dropped
+    graph is freed by reference counting (the engine that ran it leaves
+    no cycle through its world), so it is gone with the collector off."""
     a = grid_laplacian_2d(12, 12)
-    solver = SymPackSolver(a, SolverOptions(nranks=4, plan_mode=plan_mode))
-    solver.factorize()
-    for nrhs in (1, 3):
-        solver.solve(np.ones((a.n, nrhs)))
+    gc.collect()
+    gc.disable()
+    try:
+        solver = SymPackSolver(a, SolverOptions(nranks=4,
+                                                plan_mode=plan_mode))
+        solver.factorize()
+        for nrhs in (1, 3):
+            solver.solve(np.ones((a.n, nrhs)))
+        assert len(_solver_graphs(solver, collect=False)) == graphs
+    finally:
+        gc.enable()
     assert len(_solver_graphs(solver)) == graphs
     solver.close()

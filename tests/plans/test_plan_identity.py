@@ -1,12 +1,17 @@
-"""Plan replay == DES replay, to the last bit, for every solver family.
+"""Plan replay == simulation, to the last bit, for every solver family.
 
-The compiled-plan promise: a warm refactorization (``update_values`` +
-``factorize`` with ``plan_mode="on"``) and a warm solve execute the
-recorded kernel stream directly — no task-graph traversal, no event
-queue, no simulated RPC — and produce **bit-identical** factors and
-solutions (``np.array_equal``, never ``allclose``) to a full DES-driven
-replay of the same inputs.
+Either plan mode simulates each graph once — the factor graph, and the
+solve graphs at each rhs width — and replays a plan for every later run:
+a warm refactorization (``update_values`` + ``factorize``) or a warm
+solve executes the kernel stream directly — no task-graph traversal, no
+event queue, no simulated RPC — and produces **bit-identical** factors
+and solutions (``np.array_equal``, never ``allclose``) to the simulated
+run.  ``plan_mode="on"`` replays compiled streams (the solve pair
+compiled once and shared by every width), ``"off"`` the graphs' own.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,7 +84,8 @@ def _run(solver_cls, options_cls, a, shifts, *, plan_mode, nranks):
                          ids=lambda v: getattr(v, "__name__", None))
 def test_plan_replay_bit_identical_to_des(solver_cls, options_cls,
                                           matrix_key):
-    """Warm plan refactorize + solve == DES graph replay, bit for bit."""
+    """Warm compiled-plan refactorize + solve == plan_mode="off" (the
+    uncompiled stream; its first run simulated), bit for bit."""
     a = MATRICES[matrix_key]()
     nranks = 2 if matrix_key == "sparse" else 1
     shifts = (0.3, 0.7)
@@ -97,7 +103,8 @@ def test_plan_replay_bit_identical_to_des(solver_cls, options_cls,
 
 
 def test_multi_rhs_solve_plans_keyed_by_width():
-    """Each rhs width compiles its own solve plan pair; both replay."""
+    """Each rhs width keeps its own solve plan pair (its simulated
+    results) over one compiled stream pair; both replay."""
     a = MATRICES["grid"]()
     solver = SymPackSolver(a, SolverOptions(nranks=1, plan_mode="on"))
     ref = SymPackSolver(a, SolverOptions(nranks=1))
@@ -110,6 +117,9 @@ def test_multi_rhs_solve_plans_keyed_by_width():
         assert np.array_equal(x, x_ref)
     assert sorted(solver._solve_plans) == [1, 3]
     assert solver.plan_stats.hits == 2 * 2  # second 1- and 3-rhs solves
+    assert solver.plan_stats.compiles == 3  # factor + one solve pair
+    (fwd1, bwd1), (fwd3, bwd3) = (solver._solve_plans[w] for w in (1, 3))
+    assert fwd3.stream is fwd1.stream and bwd3.stream is bwd1.stream
     solver.close()
     ref.close()
 
@@ -179,3 +189,66 @@ def test_bits_after_graphs_are_dropped(solver_cls, options_cls):
     for s in solvers:
         s.close()
         assert s.session.ledger.live() == 0
+
+
+def _sim(info):
+    """The simulated results a run reports (not its trace or memory)."""
+    return (info.simulated_seconds, info.tasks,
+            list(getattr(info, "rank_busy", ())), repr(info.comm))
+
+
+@pytest.mark.parametrize("plan_mode", ["off", "on"])
+@pytest.mark.parametrize("solver_cls,options_cls", FAMILIES,
+                         ids=lambda v: getattr(v, "__name__", None))
+def test_each_graph_simulated_once(solver_cls, options_cls, plan_mode):
+    """One DES run per graph (factor, and forward + backward per rhs
+    width); every other run replays, with the first run's simulated
+    results and bits."""
+    a = MATRICES["sparse"]()
+    solver = solver_cls(a, options_cls(nranks=2, plan_mode=plan_mode))
+    session = solver.session
+    first: dict = {}
+    for _ in range(3):
+        info = solver.factorize()
+        factor = solver.storage.to_sparse_factor().toarray()
+        ref = first.setdefault("factor", (factor, _sim(info)))
+        assert np.array_equal(factor, ref[0]) and _sim(info) == ref[1]
+        for _ in range(2):
+            for width in (1, 3):
+                rhs = np.linspace(-1.0, 1.0, a.n * width).reshape(a.n, width)
+                x, sinfo = solver.solve(rhs)
+                ref = first.setdefault(width, (x, _sim(sinfo)))
+                assert np.array_equal(x, ref[0]) and _sim(sinfo) == ref[1]
+    assert session.runs - session.plan_runs == 1 + 2 * 2
+    assert solver.plan_stats.compiles == (3 if plan_mode == "on" else 0)
+    assert solver.plan_stats.hits == session.plan_runs
+    solver.close()
+    assert session.ledger.live() == 0
+
+
+def test_unseen_width_compiles_nothing_and_retains_its_rhs_only():
+    """Plan mode: a new rhs width is simulated once for its timings, then
+    replays the first width's compiled streams.  It compiles nothing,
+    keeps no graph, and grows the heap by its rhs buffer and a few small
+    objects (a compiled plan pair is ~270 KB on this grid)."""
+    a = grid_laplacian_2d(16, 16)
+    solver = SymPackSolver(a, SolverOptions(nranks=4, plan_mode="on"))
+    solver.factorize()
+    solver.solve(np.ones(a.n))
+    compiles = solver.plan_stats.compiles
+    for width in (3, 8):
+        b = np.ones((a.n, width))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            x, _ = solver.solve(b)
+            del x
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert solver.plan_stats.compiles == compiles == 3
+        assert solver._factor_graph is None and not solver._solve_graphs
+        assert grown <= b.nbytes + 32 * 1024, (width, grown)
+    solver.close()

@@ -5,8 +5,10 @@ the solution of a run depend only on the graph the family builds.  Six
 configurations that change the simulated timing but not the graph —
 rank count aside — must therefore agree to the last bit
 (``np.array_equal``): ``nranks`` 1, 4 and 8, FIFO vs ``priority``
-scheduling, compiled plans (``plan_mode="on"``, factorized twice so the
-second run replays the plan) and the resilient runner.
+scheduling, compiled plans (``plan_mode="on"``) and the resilient runner.
+Each configuration factorizes and solves twice, so the second run replays
+its plan (or, resilient, re-simulates), then solves at an unseen width,
+which replays the first width's streams.
 
 Fan-out, multifrontal and PaStiX-like build one graph whatever
 ``nranks`` is, so all six configurations give one result.  Fan-in and
@@ -63,14 +65,15 @@ CONFIGS = {
 
 def _digest(solver_cls, options_cls, a, config):
     solver = solver_cls(a, options_cls(**config))
-    rhs = np.linspace(-1.0, 1.0, a.n * 2).reshape(a.n, 2)
-    runs = 2 if config.get("plan_mode") == "on" else 1
-    for _ in range(runs):
+    rhs = np.linspace(-1.0, 1.0, a.n * 3).reshape(a.n, 3)
+    for _ in range(2):
         solver.factorize()
-        x, _ = solver.solve(rhs)
+        x, _ = solver.solve(rhs[:, :2])
+    x3, _ = solver.solve(rhs)
     factor = solver.storage.to_sparse_factor().toarray()
     h = hashlib.sha256(np.ascontiguousarray(factor).tobytes())
     h.update(np.ascontiguousarray(x).tobytes())
+    h.update(np.ascontiguousarray(x3).tobytes())
     return h.hexdigest()[:12]
 
 
@@ -108,3 +111,23 @@ def test_k_wide_columns_equal_solo_solves(solver_cls, options_cls,
         differ += [(k, c) for c in range(k)
                    if not np.array_equal(x[:, c], solo[c])]
     assert not differ, f"{len(differ)}/13 (k, column) differ: {differ}"
+
+
+@pytest.mark.parametrize("solver_cls,options_cls", [
+    (SymPackSolver, SolverOptions),
+    (FanBothSolver, FanBothOptions),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_resilient_solver_simulates_every_run(solver_cls, options_cls):
+    """Fault injection lives in the simulator, so a resilient solver never
+    replays: one resilient DES run per factorize() and per solve sweep."""
+    a = grid_laplacian_2d(8, 8)
+    solver = solver_cls(a, options_cls(nranks=4,
+                                       resilience=ResilienceOptions()))
+    infos = []
+    for k in range(1, 4):
+        infos.append(solver.factorize())
+        assert solver.session.resilient_runs == 3 * k - 2
+        solver.solve(np.ones(a.n))
+        assert solver.session.resilient_runs == 3 * k
+    assert solver.session.plan_runs == 0
+    assert len({info.simulated_seconds for info in infos}) == 1

@@ -273,6 +273,13 @@ class TestApi:
             with pytest.raises(ValueError):
                 svc.submit(a, np.zeros(a.n + 1))
 
+    def test_rhs_with_more_than_two_dimensions_rejected(self):
+        # An (n, 2, 2) rhs must not be flattened into four columns.
+        a = grid_laplacian_2d(4, 4)
+        with SolveService(OPTIONS, _fast_config()) as svc:
+            with pytest.raises(ValueError, match="rhs of shape"):
+                svc.submit(a, np.zeros((a.n, 2, 2)))
+
     def test_failed_request_propagates_exception(self):
         bad = random_spd(20, density=0.2, seed=1)
         bad.lower.data[:] = 0.0              # singular: factorization fails

@@ -54,14 +54,17 @@ class TestPlanTelemetry:
         assert counts.plan_compile_ms > 0
         svc.close()
 
-    def test_plan_off_reports_zero(self):
+    def test_plan_off_replays_without_compiling(self):
+        """plan_mode="off" replays the graphs' own streams: the warm
+        request's three runs are replays, and nothing is compiled."""
         a = grid_laplacian_2d(8, 8)
         with SolveService(SolverOptions(nranks=2), _config()) as svc:
             _, s0 = svc.solve(a, _rhs(a, 0))
             _, s1 = svc.solve(_shifted(a, 0.2), _rhs(a, 1))
             counts = svc.counters()
-        assert (s0.plan_hits, s1.plan_hits) == (0, 0)
-        assert counts.plan_compiles == 0 and counts.plan_hits == 0
+        assert (s0.plan_hits, s1.plan_hits) == (0, 3)
+        assert (s0.plan_compile_ms, s1.plan_compile_ms) == (0.0, 0.0)
+        assert counts.plan_compiles == 0 and counts.plan_hits == 3
         svc.close()
 
     def test_plan_solution_matches_plan_off(self):
@@ -167,3 +170,57 @@ class TestCachedSolverHoldsNoGraph:
                                                               "factor"]
         svc.close()
         assert svc.ledger.live() == 0
+
+
+class TestCompileCountIsFixed:
+    @staticmethod
+    def _script(svc, a):
+        """Solo requests of widths 1-4, then bursts that coalesce as far
+        as thread timing lets them, over two value sets of one pattern."""
+        jobs, futures = [], []
+        for shift in (0.0, 0.3):
+            for ncols in (1, 2, 3, 4):
+                b = _rhs(a, 10 * ncols + int(10 * shift), ncols=ncols)
+                jobs.append((shift, b))
+                futures.append(svc.submit(_shifted(a, shift), b))
+                futures[-1].result()
+            for burst in range(3):
+                for i in range(4):
+                    b = _rhs(a, 100 + 10 * burst + i, ncols=1 + i % 2)
+                    jobs.append((shift, b))
+                    futures.append(svc.submit(_shifted(a, shift), b))
+                for f in futures[-4:]:
+                    f.result()
+        return jobs, [f.result() for f in futures]
+
+    def test_compiles_do_not_depend_on_coalesced_width(self):
+        """One solve plan pair serves every width a batch reaches: three
+        compiles under plan_mode="on" (factor + forward + backward),
+        none under "off", and every column equals a solo oracle solve."""
+        a = random_spd(50, density=0.15, seed=1)
+        oracles = {}
+
+        def oracle(shift, b):
+            if shift not in oracles:
+                solver = SymPackSolver(_shifted(a, shift),
+                                       SolverOptions(nranks=1))
+                solver.factorize()
+                oracles[shift] = solver
+            return np.stack([oracles[shift].solve(col)[0]
+                             for col in b.reshape(a.n, -1).T], axis=1)
+
+        for mode, compiles in (("off", 0), ("on", 3)):
+            opts = SolverOptions(nranks=2, plan_mode=mode)
+            with SolveService(opts, _config(workers=2,
+                                            max_coalesce=4)) as svc:
+                jobs, results = self._script(svc, a)
+                counts = svc.counters()
+            svc.close()
+            assert svc.ledger.live() == 0
+            assert counts.plan_compiles == compiles, mode
+            widths = {stats.coalesced_width for _, stats in results}
+            assert {1, 2, 3, 4} <= widths, widths
+            for (shift, b), (x, _) in zip(jobs, results):
+                assert np.array_equal(x.reshape(a.n, -1), oracle(shift, b))
+        for solver in oracles.values():
+            solver.close()
