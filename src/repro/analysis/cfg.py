@@ -18,8 +18,8 @@ Edge kinds (``Edge.kind``):
     Implicit exception edge; carries the *pre*-state of the source node
     (the statement raised before completing).  Only statements lexically
     inside a ``try`` with handlers or a ``finally`` get these edges --
-    arbitrary calls are not treated as may-raise, which keeps the ownership
-    analysis precise (see docs/correctness.md for the trade-off).
+    arbitrary calls are not treated as may-raise, which keeps the
+    lock analysis precise (see docs/correctness.md for the trade-off).
 ``return`` / ``fallthrough`` / ``raise``
     Terminal edges into the synthetic EXIT node: explicit ``return``,
     falling off the end of the function, and an explicit ``raise`` that

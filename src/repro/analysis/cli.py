@@ -3,9 +3,8 @@
 ``python -m repro.analysis <command>``:
 
 * ``lint`` — the AST lint pass over ``src/repro`` (REP1xx rules).
-* ``flow`` — the flow-sensitive CFG/dataflow pass: buffer ownership
-  (REP200-REP203) and lock discipline (REP210-REP211) over the
-  pooled-memory and service layers.
+* ``flow`` — the flow-sensitive CFG/dataflow pass: lock discipline
+  (REP210-REP211) over the threaded layers.
 * ``waves`` — the wave conflict verifier over the full determinism
   scenario grid (5 solver families × 3 matrices).
 * ``races`` — the scenario grid with the PGAS happens-before checker
@@ -67,57 +66,29 @@ def _cmd_races(_args: argparse.Namespace) -> int:
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
-    from .locks import DEFAULT_LOCK_MODULES, analyze_locks
-    from .ownership import (DEFAULT_OWNERSHIP_MODULES, ModuleSource,
-                            analyze_ownership)
+    from .locks import DEFAULT_LOCK_MODULES, ModuleSource, analyze_locks
     from .report import format_findings
 
     src_root = Path(__file__).resolve().parents[1]
-
-    def load(rels: tuple[str, ...], base: Path) -> list[ModuleSource] | None:
-        mods = []
-        for rel in rels:
-            path = base / rel
-            try:
-                text = path.read_text()
-            except OSError as exc:
-                print(f"flow: cannot read {path}: {exc}", file=sys.stderr)
-                return None
-            mods.append(ModuleSource(rel, text))
-        return mods
-
-    if args.paths:
-        given: list[ModuleSource] = []
-        for p in args.paths:
-            path = Path(p)
-            try:
-                text = path.read_text()
-            except OSError as exc:
-                print(f"flow: cannot read {path}: {exc}", file=sys.stderr)
-                return USAGE_ERROR
-            try:
-                rel = str(path.resolve().relative_to(src_root))
-            except ValueError:
-                rel = str(path)
-            given.append(ModuleSource(rel, text))
-        own_mods = lock_mods = given
-    else:
-        maybe_own = load(DEFAULT_OWNERSHIP_MODULES, src_root)
-        maybe_lock = load(DEFAULT_LOCK_MODULES, src_root)
-        if maybe_own is None or maybe_lock is None:
+    paths = ([Path(p) for p in args.paths] if args.paths
+             else [src_root / rel for rel in DEFAULT_LOCK_MODULES])
+    mods: list[ModuleSource] = []
+    for path in paths:
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            print(f"flow: cannot read {path}: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        own_mods, lock_mods = maybe_own, maybe_lock
+        try:
+            rel = str(path.resolve().relative_to(src_root))
+        except ValueError:
+            rel = str(path)
+        mods.append(ModuleSource(rel, text))
 
     t0 = time.perf_counter()
-    own = analyze_ownership(own_mods)
-    t1 = time.perf_counter()
-    locks = analyze_locks(lock_mods)
-    t2 = time.perf_counter()
-    print(f"ownership (REP200-203): {len(own_mods)} module(s), "
-          f"{len(own)} finding(s) [{t1 - t0:.2f}s]")
-    print(f"locks     (REP210-211): {len(lock_mods)} module(s), "
-          f"{len(locks)} finding(s) [{t2 - t1:.2f}s]")
-    findings = own + locks
+    findings = analyze_locks(mods)
+    print(f"locks (REP210-211): {len(mods)} module(s), "
+          f"{len(findings)} finding(s) [{time.perf_counter() - t0:.2f}s]")
     if findings:
         print(format_findings(findings))
     return 1 if findings else 0
@@ -135,7 +106,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
     rc = 0
     print("== lint ==")
     rc |= _cmd_lint(argparse.Namespace(paths=[]))
-    print("== flow (ownership + locks) ==")
+    print("== flow (locks) ==")
     rc |= _cmd_flow(argparse.Namespace(paths=[]))
     print("== scenarios (waves + races) ==")
     rc |= _run_grid(check_races=True)
@@ -157,11 +128,10 @@ def main(argv: list[str] | None = None) -> int:
     p_lint.set_defaults(fn=_cmd_lint)
 
     p_flow = sub.add_parser(
-        "flow", help="flow-sensitive ownership (REP200-203) and lock "
-                     "discipline (REP210-211) analysis")
+        "flow", help="flow-sensitive lock discipline (REP210-211) analysis")
     p_flow.add_argument("paths", nargs="*",
-                        help="files to analyse (default: the pooled-memory "
-                             "and service layers)")
+                        help="files to analyse (default: the threaded "
+                             "layers)")
     p_flow.set_defaults(fn=_cmd_flow)
 
     for name, fn, doc in (

@@ -13,7 +13,7 @@ none of its effects are visible on the handler path.
 Transfer functions must be pure: the engine may evaluate a node many times
 before the fixed point stabilises.  Analyses that report findings should do
 so in a separate reporting pass over the solved states (see
-:mod:`repro.analysis.ownership` for the pattern).
+:mod:`repro.analysis.locks` for the pattern).
 """
 
 from __future__ import annotations

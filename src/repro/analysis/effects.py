@@ -12,7 +12,11 @@ pass cross-checks it against :data:`~repro.kernels.dispatch.KERNEL_OPS`
 Regions are expressed against **canonical buffers**: ``("blk", s, bi)``
 references alias supernode ``s``'s panel memory, so they canonicalise to
 ``("panel", s)`` plus an element range — which is what makes overlap
-detection between a block view and its enclosing panel exact.
+detection between a block view and its enclosing panel exact.  Likewise
+every ``("scratch", key)`` slot canonicalises to its element range of
+the context's one ``("workspace",)`` buffer, so slots that share bytes
+(multifrontal update matrices whose lives do not meet) are checked as
+the same memory they are.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ class Access:
     ----------
     key:
         Canonical buffer key: ``("diag", s)``, ``("panel", s)``,
-        ``("scratch", k)``, ``("transient", k)`` or ``("rhs",)``.
+        ``("workspace",)`` or ``("rhs",)`` (``("scratch", k)`` for a
+        slot the context has not reserved).
     write:
         ``True`` for a write (or read-modify-write); ``False`` for a
         pure read.
@@ -111,8 +116,11 @@ def canonical_region(ref: tuple, ctx: ExecContext) -> tuple[tuple, int, int | No
         width = storage.panels[s].shape[1]
         return ("panel", s), blk.offset * width, (blk.offset + blk.nrows) * width
     if kind == "scratch":
-        arr = None if ctx is None else ctx.scratch.get(ref[1])
-        return ("scratch", ref[1]), 0, (None if arr is None else arr.size)
+        slot = None if ctx is None else ctx.slots.get(ref[1])
+        if slot is None:
+            return ("scratch", ref[1]), 0, None
+        offset, shape = slot
+        return ("workspace",), offset, offset + int(np.prod(shape))
     if kind == "rhs":
         size = None if ctx.rhs is None else ctx.rhs.size
         return ("rhs",), 0, size
@@ -197,11 +205,14 @@ def _fx_axpy_sub(call: KernelCall, ctx: ExecContext) -> list[Access]:
 
 
 def _fx_frontal(call: KernelCall, ctx: ExecContext) -> list[Access]:
+    # The front region is private to the call (calls never run
+    # concurrently), so only the update slots are modelled: the
+    # children's are read, the supernode's own is written.
     s, kids = call.args
-    out = [Access(key=("transient", ("contrib", int(c))), write=False,
-                  deferred=False, start=0, end=None) for c in kids]
-    out.append(Access(key=("transient", ("contrib", int(s))), write=True,
-                      deferred=False, start=0, end=None))
+    out = [_whole(("scratch", ("update", int(c))), ctx, write=False)
+           for c in kids]
+    if ("update", int(s)) in ctx.slots:
+        out.append(_whole(("scratch", ("update", int(s))), ctx, write=True))
     out.append(_whole(("diag", s), ctx, write=True))
     out.append(_whole(("panel", s), ctx, write=True))
     return out
@@ -265,9 +276,8 @@ HANDLER_WRITE_SPEC: dict[str, dict[str, frozenset[str]]] = {
                     "accessors": frozenset({"diag_block", "panels"})},
     "axpy_sub": {"resolve": frozenset({"tgt_ref"}),
                  "accessors": frozenset()},
-    "frontal": {"resolve": frozenset(),
-                "accessors": frozenset({"diag_block", "panels",
-                                        "transient"})},
+    "frontal": {"resolve": frozenset({"front_ref", "update_ref"}),
+                "accessors": frozenset({"diag_block", "panels"})},
     "trsv": {"resolve": frozenset(), "accessors": frozenset({"rhs"})},
     "gemv_fwd": {"resolve": frozenset(), "accessors": frozenset({"rhs"})},
     "gemv_bwd": {"resolve": frozenset(), "accessors": frozenset({"rhs"})},

@@ -22,16 +22,19 @@ Run as ``python -m repro.analysis.lint`` (or through the combined
     :data:`~repro.analysis.effects.HANDLER_WRITE_SPEC` declares writable.
     The wave conflict verifier *trusts* that spec; an undeclared mutation
     would silently invalidate its proofs.
-``REP106`` **pooled hot-path allocation** — ``core/storage.py``,
+``REP106`` **pooled allocation, owned** — ``core/storage.py``,
     ``variants/*`` and ``kernels/*`` must not call raw ``np.zeros`` /
-    ``np.empty``: hot-path buffers come from the
-    :class:`~repro.memory.BufferPool` API (``pool.take`` /
-    ``ctx.scratch_array`` / ``ctx.take_buffer``) so every byte is charged
-    to the :class:`~repro.memory.MemoryLedger` and replays reuse memory.
-    Build-time symbolic helpers may be allowlisted in
-    :data:`RAW_ALLOC_ALLOWLIST` (keyed by file and the *qualified*
-    enclosing-function name, so ``Class.method`` and nested helpers
-    resolve correctly and an entry covers the scopes inside it).
+    ``np.empty``: dense buffers come from the
+    :class:`~repro.memory.BufferPool`, so every byte is charged to the
+    :class:`~repro.memory.MemoryLedger`.  Build-time symbolic helpers may
+    be allowlisted in :data:`RAW_ALLOC_ALLOWLIST` (keyed by file and the
+    *qualified* enclosing-function name, so ``Class.method`` and nested
+    helpers resolve correctly and an entry covers the scopes inside it).
+    And outside ``memory/``, a pool ``.take(`` / ``.give(`` may appear
+    only in the owner methods of :data:`POOL_OWNERS` — the factor
+    storage, an execution context's workspace and the solver's rhs
+    buffer — so no kernel can allocate and every buffer has one owner
+    that gives it back.
 ``REP107`` **simulated time only** — ``pgas/`` and ``resilience/`` must
     not read the wall clock (``time.time`` / ``time.monotonic`` /
     ``time.perf_counter``): every timestamp in the simulated runtime
@@ -96,6 +99,16 @@ HOT_PATH_DIRS = ("variants/", "kernels/")
 # helpers.  Module-level allocations key on "<module>".
 RAW_ALLOC_ALLOWLIST = frozenset({
     ("variants/multifrontal.py", "proportional_supernode_mapping"),
+})
+# REP106: the only (rel path, qualified method) pairs outside memory/
+# that may call a pool's take() or give(): each buffer's one owner.
+POOL_OWNERS = frozenset({
+    ("core/storage.py", "FactorStorage.__init__"),
+    ("core/storage.py", "FactorStorage.release"),
+    ("kernels/dispatch.py", "ExecContext.fresh_run"),
+    ("kernels/dispatch.py", "ExecContext.close"),
+    ("core/base.py", "SolverBase._rhs_buffer"),
+    ("core/base.py", "SolverBase.close"),
 })
 
 # REP107: wall-clock reads forbidden in the simulated-time packages.
@@ -198,22 +211,15 @@ def _hot_path(rel: str) -> bool:
             or any(rel.startswith(d) for d in HOT_PATH_DIRS))
 
 
-def _check_pool_alloc(tree: ast.AST, path: str, rel: str
-                      ) -> Iterator[Finding]:
-    def allowed(stack: list[str]) -> bool:
-        # An allowlist entry suppresses the named scope and everything
-        # nested under it, so "outer" also covers "outer.inner".
-        if not stack:
-            return (rel, "<module>") in RAW_ALLOC_ALLOWLIST
-        return any((rel, ".".join(stack[:i])) in RAW_ALLOC_ALLOWLIST
-                   for i in range(1, len(stack) + 1))
-
-    def visit(node: ast.AST, stack: list[str]) -> Iterator[Finding]:
+def _scoped_calls(tree: ast.AST) -> Iterator[tuple[ast.Call, list[str]]]:
+    """Every call in ``tree`` with the qualified scope it evaluates in."""
+    def visit(node: ast.AST, stack: list[str]
+              ) -> Iterator[tuple[ast.Call, list[str]]]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             # Decorators and parameter defaults evaluate in the
-            # *enclosing* scope, so an allowlist entry on the decorated
-            # function must not suppress allocations inside them.
+            # *enclosing* scope, so an allowance for the decorated
+            # function must not cover calls inside them.
             for dec in node.decorator_list:
                 yield from visit(dec, stack)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -226,22 +232,53 @@ def _check_pool_alloc(tree: ast.AST, path: str, rel: str
                 yield from visit(child, inner)
             return
         if isinstance(node, ast.Call):
-            name = _dotted(node.func)
-            if name in POOL_BYPASS and not allowed(stack):
-                qual = ".".join(stack) if stack else "<module>"
-                yield Finding(
-                    rule="REP106", where=f"{path}:{node.lineno}",
-                    message=f"raw {name}() in hot-path module {rel} "
-                            f"(scope {qual}); allocate through the "
-                            "BufferPool API (pool.take / "
-                            "ctx.scratch_array / ctx.take_buffer) so the "
-                            "MemoryLedger sees it, or allowlist the "
-                            "enclosing function's qualified name in "
-                            "RAW_ALLOC_ALLOWLIST")
+            yield node, stack
         for child in ast.iter_child_nodes(node):
             yield from visit(child, stack)
 
     yield from visit(tree, [])
+
+
+def _check_pool_alloc(tree: ast.AST, path: str, rel: str
+                      ) -> Iterator[Finding]:
+    def allowed(stack: list[str]) -> bool:
+        # An allowlist entry suppresses the named scope and everything
+        # nested under it, so "outer" also covers "outer.inner".
+        if not stack:
+            return (rel, "<module>") in RAW_ALLOC_ALLOWLIST
+        return any((rel, ".".join(stack[:i])) in RAW_ALLOC_ALLOWLIST
+                   for i in range(1, len(stack) + 1))
+
+    for node, stack in _scoped_calls(tree):
+        name = _dotted(node.func)
+        if name in POOL_BYPASS and not allowed(stack):
+            qual = ".".join(stack) if stack else "<module>"
+            yield Finding(
+                rule="REP106", where=f"{path}:{node.lineno}",
+                message=f"raw {name}() in hot-path module {rel} "
+                        f"(scope {qual}); take the buffer from the "
+                        "BufferPool in its owner (see POOL_OWNERS) so "
+                        "the MemoryLedger sees it, or allowlist the "
+                        "enclosing function's qualified name in "
+                        "RAW_ALLOC_ALLOWLIST")
+
+
+def _check_pool_owners(tree: ast.AST, path: str, rel: str
+                       ) -> Iterator[Finding]:
+    for node, stack in _scoped_calls(tree):
+        func = node.func
+        if (not isinstance(func, ast.Attribute)
+                or func.attr not in ("take", "give")
+                or _dotted(func.value) in ("np", "numpy")):
+            continue
+        qual = ".".join(stack) if stack else "<module>"
+        if (rel, qual) not in POOL_OWNERS:
+            yield Finding(
+                rule="REP106", where=f"{path}:{node.lineno}",
+                message=f"pool .{func.attr}() in {rel} (scope {qual}), "
+                        "which owns no pooled buffer; reserve a slot in "
+                        "the execution context's workspace instead, or "
+                        "give a new owner method an entry in POOL_OWNERS")
 
 
 def _check_wallclock(tree: ast.AST, path: str, rel: str
@@ -306,7 +343,7 @@ def _check_one_handler(fn: ast.FunctionDef, path: str) -> Iterator[Finding]:
             if base == ("ctx",):
                 if node.attr == "storage":
                     return ("storage",)
-                if node.attr in ("rhs", "scratch", "transient"):
+                if node.attr == "rhs":
                     return ("accessor", node.attr)
                 return ("unknown",)
             if base == ("storage",) and node.attr == "panels":
@@ -383,7 +420,7 @@ def _check_one_handler(fn: ast.FunctionDef, path: str) -> Iterator[Finding]:
         return [stmt]
 
     for stmt in statements(fn.body):
-        # Mutating method calls on accessors (transient.pop() etc.) —
+        # Mutating method calls on accessors (rhs.fill() etc.) —
         # anywhere inside the statement, including assignment values.
         for part in expr_parts(stmt):
             for node in ast.walk(part):
@@ -444,6 +481,8 @@ def lint_source(text: str, path: str, rel: str | None = None
         findings.extend(_check_handlers(tree, path))
     if _hot_path(rel):
         findings.extend(_check_pool_alloc(tree, path, rel))
+    if not rel.startswith("memory/"):
+        findings.extend(_check_pool_owners(tree, path, rel))
     if rel.startswith(WALLCLOCK_DIRS):
         findings.extend(_check_wallclock(tree, path, rel))
     return findings

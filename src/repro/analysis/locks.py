@@ -33,20 +33,24 @@ entry-held set -- this is what lets ``MemoryLedger._account`` count as
 guarded even though its ``with self._lock`` lives in the public callers.
 A method whose name is ever referenced without being called (thread
 targets, hooks) gets an empty entry-held set.
+
+A ``# flow: allow(REP210,REP211)`` comment on a ``def`` line (or in the
+comment block directly above it) suppresses the named rules there.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .cfg import CFG, Node, WithEnter, WithExit, build_cfg
 from .dataflow import DataflowDivergence, FixedPoint, ForwardAnalysis, solve
-from .ownership import ModuleSource, parse_directives
 from .report import Finding
 
-__all__ = ["DEFAULT_LOCK_MODULES", "analyze_locks"]
+__all__ = ["DEFAULT_LOCK_MODULES", "ModuleSource", "analyze_locks",
+           "parse_directives"]
 
 # Analysed by ``python -m repro.analysis flow`` (relative to src/repro/).
 DEFAULT_LOCK_MODULES = (
@@ -54,11 +58,41 @@ DEFAULT_LOCK_MODULES = (
     "core/tracing.py",
     "memory/ledger.py",
     "memory/pool.py",
-    "plans/arena.py",
     "service/caches.py",
     "service/requests.py",
     "service/service.py",
 )
+
+
+@dataclass(frozen=True)
+class ModuleSource:
+    """One analysed module: path relative to ``src/repro`` plus its text."""
+
+    rel: str
+    text: str
+
+
+_ALLOW = re.compile(r"# flow:\s*allow\(([^)]*)\)\s*$")
+
+
+def parse_directives(lines: list[str], lineno: int) -> frozenset[str]:
+    """Rules a ``# flow: allow(...)`` comment suppresses at a ``def``.
+
+    Looks at the ``def`` line itself, then upward through the contiguous
+    block of comment and decorator lines directly above it (so multi-line
+    rationale comments and decorated functions both work).
+    """
+    allowed: set[str] = set()
+    idx = lineno - 1
+    while 0 <= idx < len(lines) and (
+            idx == lineno - 1 or lines[idx].lstrip().startswith(("#", "@"))):
+        match = _ALLOW.search(lines[idx])
+        if match:
+            allowed.update(r.strip() for r in match.group(1).split(",")
+                           if r.strip())
+        idx -= 1
+    return frozenset(allowed)
+
 
 # factory dotted-name -> lock kind
 LOCK_FACTORIES = {
@@ -172,7 +206,7 @@ class LockWorld:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{prefix}{node.name}"
-                allow, _transfer = parse_directives(lines, node.lineno)
+                allow = parse_directives(lines, node.lineno)
                 self.methods[(rel, qual)] = MethodInfo(
                     rel, qual, class_name, node, allow)
                 if class_name is not None and class_name in self.classes:

@@ -30,21 +30,18 @@ The injections mirror the analysis layers:
   findings; a copy with ``ctx.resolve(a_ref)[0, 0] = 0.0`` injected into
   ``_op_syrk_sub`` (a kernel mutating its declared-read-only operand)
   must be flagged.
-* **pool lint** — the real ``core/storage.py`` must carry zero ``REP106``
-  findings; a copy with a helper calling raw ``np.zeros`` appended (an
-  allocation that bypasses the ledgered ``BufferPool``) must be flagged.
+* **pool lint** — the real ``core/storage.py`` and
+  ``kernels/dispatch.py`` must carry zero ``REP106`` findings; a copy of
+  the first with a helper calling raw ``np.zeros`` appended (an
+  allocation that bypasses the ledgered ``BufferPool``) and a copy of
+  the second with a kernel handler taking a buffer from the context's
+  pool (an allocation outside every buffer owner) must each be flagged,
+  the latter at the planted line.
 * **wall-clock lint** — the real ``pgas/runtime.py`` must carry zero
   ``REP107`` findings; a copy with a helper reading ``time.monotonic()``
   appended (a wall-clock read that would make the simulated runtime's
   fault schedules and retry timers unreplayable) must be flagged.
-* **flow-ownership** — the pooled-memory and service layers must be
-  clean under the flow-sensitive ownership analysis; four probe
-  functions appended to a copy of ``memory/pool.py`` plant one defect
-  each — a buffer leaked on an exception path (``REP200``), a double
-  ``give`` (``REP201``), a use after ``give`` (``REP202``) and a
-  conditional give that diverges at the join (``REP203``) — and each
-  must be flagged *at the planted line*.
-* **flow-locks** — the same layers must be clean under the lock
+* **flow-locks** — the threaded layers must be clean under the lock
   discipline analysis; a method spliced into ``ExecutionTrace`` that
   bumps ``tasks_executed`` without the trace lock must raise ``REP210``,
   and a pair of methods spliced into ``FactorCache`` and
@@ -67,8 +64,8 @@ from .waves import verify_flush
 
 __all__ = ["MutationReport", "selftest_waves", "selftest_plan_waves",
            "selftest_races", "selftest_lint", "selftest_pool_lint",
-           "selftest_wallclock_lint", "selftest_flow_ownership",
-           "selftest_flow_locks", "run_selftest", "format_reports"]
+           "selftest_wallclock_lint", "selftest_flow_locks",
+           "run_selftest", "format_reports"]
 
 
 @dataclass
@@ -295,24 +292,42 @@ def selftest_lint() -> MutationReport:
 
 _REP106_MUTANT = ("\n\ndef _rep106_probe(shape):\n"
                   "    return np.zeros(shape)\n")
+_REP106_TAKE_MARKER = "    buf = ctx.pool.take((len(kids), len(kids)))"
+_REP106_TAKE_MUTANT = ("\n\ndef _op_rep106_probe(ctx: ExecContext, "
+                       "kids: Sequence[int]) -> None:\n"
+                       + _REP106_TAKE_MARKER + "\n"
+                       "    ctx.pool.give(buf)\n")
 
 
 def selftest_pool_lint() -> MutationReport:
-    """Pool lint: real storage.py clean; raw-allocation mutant flagged."""
+    """Pool lint: real storage.py and dispatch.py clean; a raw allocation
+    and a kernel-side pool take are flagged."""
     from .lint import lint_source
 
-    path = Path(__file__).resolve().parents[1] / "core" / "storage.py"
-    source = path.read_text()
-    clean = lint_source(source, str(path), rel="core/storage.py")
-    mutant = source + _REP106_MUTANT
-    injected = lint_source(mutant, str(path), rel="core/storage.py")
+    base = Path(__file__).resolve().parents[1]
+    sources = {rel: (base / rel).read_text()
+               for rel in ("core/storage.py", "kernels/dispatch.py")}
+    clean = [f for rel, text in sources.items()
+             for f in lint_source(text, str(base / rel), rel=rel)
+             if f.rule == "REP106"]
+    raw = lint_source(sources["core/storage.py"] + _REP106_MUTANT,
+                      "core/storage.py", rel="core/storage.py")
+    mutant = sources["kernels/dispatch.py"] + _REP106_TAKE_MUTANT
+    where = f"kernels/dispatch.py:{_marker_line(mutant, _REP106_TAKE_MARKER)}"
+    taken = [f for f in lint_source(mutant, "kernels/dispatch.py",
+                                    rel="kernels/dispatch.py")
+             if f.rule == "REP106"]
+    expect = ["REP106"]
+    if not any(f.where == where for f in taken) or len(raw) != 1:
+        expect.append("REP106-precise")
     return MutationReport(
         layer="pool-lint",
         clean_findings=clean,
-        injected_findings=injected,
-        expect_rules=("REP106",),
-        notes="mutant: helper in core/storage.py allocates with raw "
-              "np.zeros (bypasses the ledgered BufferPool)",
+        injected_findings=raw + taken,
+        expect_rules=tuple(expect),
+        notes="mutants: helper in core/storage.py allocates with raw "
+              "np.zeros; kernel handler in kernels/dispatch.py takes and "
+              "gives a pool buffer (not a buffer owner)",
     )
 
 
@@ -340,89 +355,17 @@ def selftest_wallclock_lint() -> MutationReport:
     )
 
 
-# Each ownership probe is appended to a copy of memory/pool.py; the
-# marker is the exact planted line the analysis must point at.
-_FLOW_OWNERSHIP_PROBES = (
-    ("REP200",
-     "\n\ndef _flow_rep200_probe(pool, shape, check):\n"
-     "    buf = pool.take(shape)\n"
-     "    try:\n"
-     "        check(buf)\n"
-     "    except ValueError:\n"
-     "        return None\n"
-     "    pool.give(buf)\n",
-     "        return None"),
-    ("REP201",
-     "\n\ndef _flow_rep201_probe(pool, shape):\n"
-     "    buf = pool.take(shape)\n"
-     "    pool.give(buf)\n"
-     "    pool.give(buf)  # double\n",
-     "    pool.give(buf)  # double"),
-    ("REP202",
-     "\n\ndef _flow_rep202_probe(pool, shape):\n"
-     "    buf = pool.take(shape)\n"
-     "    pool.give(buf)\n"
-     "    return float(buf[0])\n",
-     "    return float(buf[0])"),
-    ("REP203",
-     "\n\ndef _flow_rep203_probe(pool, shape, flag):\n"
-     "    buf = pool.take(shape)\n"
-     "    if flag:\n"
-     "        pool.give(buf)\n"
-     "    buf.fill(0)\n",
-     "    buf.fill(0)"),
-)
-
-
 def _flow_sources() -> dict[str, str]:
-    """rel path -> source text for the default flow-analysis module set."""
+    """rel path -> source text for the default lock-analysis module set."""
     from .locks import DEFAULT_LOCK_MODULES
-    from .ownership import DEFAULT_OWNERSHIP_MODULES
 
     base = Path(__file__).resolve().parents[1]
-    return {rel: (base / rel).read_text()
-            for rel in set(DEFAULT_OWNERSHIP_MODULES + DEFAULT_LOCK_MODULES)}
+    return {rel: (base / rel).read_text() for rel in DEFAULT_LOCK_MODULES}
 
 
 def _marker_line(source: str, marker: str) -> int:
     """1-based line number of the (unique) exact line ``marker``."""
     return source.splitlines().index(marker) + 1
-
-
-def selftest_flow_ownership() -> MutationReport:
-    """Ownership flow: real layers clean; four planted leaks flagged.
-
-    The clean half runs the full default module set; the injected half
-    appends one probe function at a time to ``memory/pool.py`` and
-    requires the matching rule *at the planted line* (precision failures
-    surface as unmet ``<rule>-precise`` pseudo-rules).
-    """
-    from .ownership import (DEFAULT_OWNERSHIP_MODULES, ModuleSource,
-                            analyze_ownership)
-
-    sources = _flow_sources()
-    clean = analyze_ownership([ModuleSource(rel, sources[rel])
-                               for rel in DEFAULT_OWNERSHIP_MODULES])
-
-    pool_src = sources["memory/pool.py"]
-    injected: list[Finding] = []
-    expect: list[str] = []
-    for rule, probe, marker in _FLOW_OWNERSHIP_PROBES:
-        mutant = pool_src + probe
-        where = f"memory/pool.py:{_marker_line(mutant, marker)}"
-        found = analyze_ownership([ModuleSource("memory/pool.py", mutant)])
-        injected.extend(found)
-        expect.append(rule)
-        if not any(f.rule == rule and f.where == where for f in found):
-            expect.append(rule + "-precise")
-    return MutationReport(
-        layer="flow-ownership",
-        clean_findings=clean,
-        injected_findings=injected,
-        expect_rules=tuple(expect),
-        notes="mutants: leak-on-exception, double give, use-after-give, "
-              "conditional give (join divergence) planted in memory/pool.py",
-    )
 
 
 _REP210_ANCHOR = "    def record_fallback(self) -> None:"
@@ -452,8 +395,7 @@ def selftest_flow_locks() -> MutationReport:
     ``REP211``: methods spliced into ``FactorCache`` and
     ``ExecutionTrace`` nest the two classes' locks in opposite orders.
     """
-    from .locks import DEFAULT_LOCK_MODULES, analyze_locks
-    from .ownership import ModuleSource
+    from .locks import DEFAULT_LOCK_MODULES, ModuleSource, analyze_locks
 
     sources = _flow_sources()
     clean = analyze_locks([ModuleSource(rel, sources[rel])
@@ -508,8 +450,7 @@ def run_selftest() -> list[MutationReport]:
     """All layers' mutation self-tests."""
     return [selftest_waves(), selftest_plan_waves(), selftest_races(),
             selftest_lint(), selftest_pool_lint(),
-            selftest_wallclock_lint(), selftest_flow_ownership(),
-            selftest_flow_locks()]
+            selftest_wallclock_lint(), selftest_flow_locks()]
 
 
 def format_reports(reports: list[MutationReport]) -> str:

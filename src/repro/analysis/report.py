@@ -1,7 +1,7 @@
 """Shared finding record + report formatting for the analysis layers.
 
 Every analysis layer (wave verifier, happens-before checker, lint pass,
-flow-sensitive ownership and lock-discipline analyses) reports through
+flow-sensitive lock-discipline analysis) reports through
 the same :class:`Finding` record so the CLI, the CI job and the mutation
 self-tests can treat them uniformly: a run is clean iff its finding list
 is empty.
@@ -21,9 +21,8 @@ class Finding:
     rule:
         Stable rule identifier (``WAVE0xx`` for the wave verifier,
         ``HB0xx`` for the happens-before checker, ``REP1xx`` for lint,
-        ``REP2xx`` for the flow analyses — ``REP200-203`` ownership,
-        ``REP210-211`` lock discipline, ``REP290`` contained analyzer
-        errors).
+        ``REP2xx`` for the flow analysis — ``REP210-211`` lock
+        discipline, ``REP290`` contained analyzer errors).
     where:
         Location: ``path:line`` for lint, a buffer/task description for
         the wave verifier, a rank/event description for the HB checker.

@@ -40,7 +40,7 @@ from ..machine.perlmutter import perlmutter
 from ..pgas.device_kinds import DeviceKind
 from ..pgas.network import MemoryKindsMode
 from ..pgas.runtime import CommStats
-from ..plans import NumericPlan, PlanArena, PlanStats, compile_plan
+from ..plans import NumericPlan, PlanStats, compile_plan
 from ..resilience.options import ResilienceOptions
 from ..sparse.csc import SymmetricCSC
 from ..sparse.validate import check_finite, check_rhs, probable_spd
@@ -267,10 +267,12 @@ class SolverBase:
         self.storage: FactorStorage | None = None
         self._closed = False
         # Run state kept for the solver's lifetime: the factor graph's
-        # context, and per right-hand-side count
-        # nrhs -> (forward context, backward context, (nrhs, n) rhs buffer).
+        # context, one (forward, backward) solve context pair, and one
+        # (width, n) rhs buffer, regrown when a wider rhs arrives; every
+        # solve binds the contexts' rhs to its leading rows.
         self._factor_ctx: ExecContext | None = None
-        self._solve_ctxs: dict[int, tuple[ExecContext, ExecContext, np.ndarray]] = {}
+        self._solve_ctxs: tuple[ExecContext, ExecContext] | None = None
+        self._rhs: np.ndarray | None = None
         # Task graphs: kept under plan_mode="off"; under "on" only until
         # their first (simulated) run has produced their plan.
         self._factor_graph: TaskGraph | None = None
@@ -279,12 +281,10 @@ class SolverBase:
         # Plans every run after a graph's first replays (see _run): the
         # factor plan, and per rhs width a (forward, backward) pair that
         # shares the first width's streams and carries its own simulated
-        # results.  The arena retains kernel-held buffers between
-        # replays (see repro.plans).
+        # results.
         self.plan_stats = PlanStats()
         self._factor_plan: NumericPlan | None = None
         self._solve_plans: dict[int, tuple[NumericPlan, NumericPlan]] = {}
-        self._plan_arena: PlanArena | None = None
 
     # ------------------------------------------------------- family hooks
 
@@ -295,10 +295,10 @@ class SolverBase:
     def _exec_context(self, rhs: np.ndarray | None = None) -> ExecContext:
         """Execution context wired to the session's ledgered buffer pool.
 
-        Graph builders that register scratch at build time (fan-in /
-        fan-both aggregates, multifrontal transients) must create their
-        context through this helper so that scratch charges the session
-        ledger instead of a private pool.
+        Graph builders that reserve workspace slots (fan-in / fan-both
+        aggregates, multifrontal fronts and updates) create their context
+        through this helper, so the workspace charges the session ledger
+        instead of a private pool.
         """
         return ExecContext(storage=self.storage, rhs=rhs,
                            pool=self.session.pool)
@@ -357,7 +357,7 @@ class SolverBase:
         else:
             self.storage.reset()
             self._prepare_storage()
-            self._factor_ctx.fresh_run()
+        self._factor_ctx.fresh_run()
         run, self._factor_plan = self._run(
             self._factor_graph, self._factor_plan, self._factor_ctx,
             "factor")
@@ -379,16 +379,15 @@ class SolverBase:
             **self._phase_fields(),
         )
 
-    def _adopt_context(self, graph: TaskGraph,
-                       rhs: np.ndarray | None = None) -> ExecContext:
+    def _adopt_context(self, graph: TaskGraph) -> ExecContext:
         """``graph``'s execution context, wired to the session pool.
 
         Builders that construct no context get a fresh one; builders
-        that construct a bare one (no build-time scratch) get the
-        session pool patched in post-build.
+        that construct a bare one (no workspace slots) get the session
+        pool patched in post-build.
         """
         if graph.context is None:
-            graph.context = self._exec_context(rhs=rhs)
+            graph.context = self._exec_context()
         elif graph.context.pool is None:
             graph.context.pool = self.session.pool
         return graph.context
@@ -434,28 +433,20 @@ class SolverBase:
         }
 
     def _replay(self, plan: NumericPlan, ctx: ExecContext) -> RunResult:
-        """Run one plan against ``ctx`` with the arena installed — the
-        only warm path, in both plan modes.
+        """Run one plan against ``ctx`` — the only warm path, in both
+        plan modes.
 
         No task-graph traversal, no event queue, no simulated RPC: a
         fresh executor runs the plan's stream (compiled or not),
         observed by the session's flush hook exactly as live flushes are
         (wave checking covers the warm path too).  The simulated-time
-        results are the graph's DES run's.  The context deliberately skips
-        ``end_run()``: scratch stays resident (zeroed in place by the
-        next ``fresh_run``) and the arena retains kernel-held buffers,
-        so replays after the first perform zero pool takes and zero
-        ledger allocations.
+        results are the graph's DES run's.  Kernels work in the
+        context's resident workspace, so a replay takes nothing from the
+        pool and charges nothing to the ledger.
         """
-        if self._plan_arena is None:
-            self._plan_arena = PlanArena(self.session.pool)
-        ctx.plan_arena = self._plan_arena
         executor = KernelExecutor(context=ctx,
                                   flush_hook=self.session._flush_hook)
-        try:
-            executor.execute_stream(plan.stream)
-        finally:
-            ctx.plan_arena = None
+        executor.execute_stream(plan.stream)
         self.plan_stats.hits += 1
         comm = CommStats() + plan.comm
         self.session.record_replay(comm)
@@ -513,19 +504,18 @@ class SolverBase:
         vals = b.reshape(self.a.n, -1)
         nrhs = vals.shape[1]
 
-        cached = self._solve_ctxs.get(nrhs)
-        if cached is None:
-            # Column-major rhs (the graphs see the transpose): each column
-            # is contiguous like a solo rhs, so it solves to the same bits.
-            base = self.session.pool.take((nrhs, self.a.n), label="rhs",
-                                          zero=False)
-            fwd, bwd = self._build_solve_graphs(base.T)
+        # Column-major rhs (the graphs see the transpose of the buffer's
+        # leading rows): each column is contiguous like a solo rhs, so it
+        # solves to the same bits.  The buffer is regrown before an unseen
+        # width's graphs are built, so a failing build strands nothing.
+        rhs = self._rhs_buffer(nrhs)[:nrhs].T
+        if nrhs not in self._solve_plans and nrhs not in self._solve_graphs:
+            fwd, bwd = self._build_solve_graphs(rhs)
+            if self._solve_ctxs is None:
+                self._solve_ctxs = (self._adopt_context(fwd),
+                                    self._adopt_context(bwd))
+            fwd.context, bwd.context = self._solve_ctxs
             self._solve_graphs[nrhs] = (fwd, bwd)
-            cached = self._solve_ctxs[nrhs] = (
-                self._adopt_context(fwd, rhs=base.T),
-                self._adopt_context(bwd, rhs=base.T), base)
-        fwd_ctx, bwd_ctx, base = cached
-        rhs = base.T
         rhs[:, :] = vals[self.analysis.perm.perm]
 
         total_time = 0.0
@@ -535,8 +525,9 @@ class SolverBase:
         first = next(iter(self._solve_plans.values()), (None, None))
         graphs = self._solve_graphs.get(nrhs, (None, None))
         ran: list[NumericPlan] = []
-        for i, (kind, ctx) in enumerate((("solve_fwd", fwd_ctx),
-                                         ("solve_bwd", bwd_ctx))):
+        for i, (kind, ctx) in enumerate(zip(("solve_fwd", "solve_bwd"),
+                                            self._solve_ctxs)):
+            ctx.rhs = rhs
             ctx.fresh_run()
             run, plan = self._run(graphs[i], plans[i], ctx, kind, first[i])
             ran.append(plan)
@@ -554,13 +545,27 @@ class SolverBase:
                          comm=comm, tasks=total_tasks)
         return x, info
 
+    def _rhs_buffer(self, nrhs: int) -> np.ndarray:
+        """The solver's one ``(width, n)`` rhs buffer, ``width >= nrhs``.
+
+        A rhs wider than any before gives the buffer back and takes one
+        of the new width; narrower ones use its leading rows.
+        """
+        if self._rhs is None or self._rhs.shape[0] < nrhs:
+            if self._rhs is not None:
+                self.session.pool.give(self._rhs)
+                self._rhs = None
+            self._rhs = self.session.pool.take((nrhs, self.a.n),
+                                               label="rhs", zero=False)
+        return self._rhs
+
     # ----------------------------------------------------------- lifetime
 
     def close(self) -> None:
         """Release every pooled buffer this solver holds (idempotent).
 
-        Cached right-hand sides, graph-context scratch and the factor
-        storage all go back to the session pool, so the shared ledger's
+        The rhs buffer, the contexts' workspaces and the factor storage
+        all go back to the session pool, so the shared ledger's
         live bytes return to what the pool's *other* owners hold — zero
         for a solver with a private session.  The solver must not be
         used afterwards (the service calls this when evicting a cached
@@ -571,14 +576,12 @@ class SolverBase:
         self._closed = True
         self._factor_plan = None
         self._solve_plans.clear()
-        if self._plan_arena is not None:
-            self._plan_arena.retire()
-            self._plan_arena = None
-        for fwd_ctx, bwd_ctx, base in self._solve_ctxs.values():
-            fwd_ctx.close()
-            bwd_ctx.close()
-            self.session.pool.give(base)
-        self._solve_ctxs.clear()
+        for ctx in self._solve_ctxs or ():
+            ctx.close()
+        self._solve_ctxs = None
+        if self._rhs is not None:
+            self.session.pool.give(self._rhs)
+            self._rhs = None
         self._solve_graphs.clear()
         if self._factor_ctx is not None:
             self._factor_ctx.close()

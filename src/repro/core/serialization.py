@@ -22,7 +22,7 @@ __all__ = ["SerializedFactor", "save_factor", "load_factor",
            "checkpoint_path", "save_checkpoint", "load_checkpoint"]
 
 _FORMAT_VERSION = 1
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -134,11 +134,10 @@ def load_factor(path: str | Path) -> SerializedFactor:
 #
 # Mid-factorization checkpoints (repro.resilience): the numeric snapshot
 # is supernode-granular — one ``diag_<s>`` / ``panel_<s>`` array pair per
-# supernode — plus scratch accumulators, transient payloads and the
-# task-graph progress (executed set, frontier).  Keys that are
-# Python tuples travel as a JSON manifest.  All I/O failures surface as
-# the typed ``CheckpointIOError`` so callers (CLI exit code 4, service
-# events) can tell them from solver errors.
+# supernode — plus one copy of the graph context's workspace and the
+# task-graph progress (executed set, frontier) in a JSON manifest.  All
+# I/O failures surface as the typed ``CheckpointIOError`` so callers (CLI
+# exit code 4, service events) can tell them from solver errors.
 
 
 def checkpoint_path(directory: str | Path, label: str = "factor") -> Path:
@@ -156,14 +155,6 @@ def save_checkpoint(state, directory: str | Path,
         "version": _CHECKPOINT_VERSION,
         "frontier": state.frontier,
         "nsuper": len(state.panels),
-        "scratch_keys": [list(k) for k in state.scratch],
-        "transient": [
-            {"key": list(key), "is_tuple": is_tuple,
-             "parts": [{"held": held,
-                        "array": isinstance(obj, np.ndarray)}
-                       for held, obj in saved]}
-            for key, (is_tuple, saved) in state.transient.items()
-        ],
     }
     arrays: dict[str, np.ndarray] = {
         "executed": np.asarray(state.executed, dtype=np.int64),
@@ -172,12 +163,8 @@ def save_checkpoint(state, directory: str | Path,
     for s, (diag, panel) in enumerate(zip(state.diag, state.panels)):
         arrays[f"diag_{s}"] = diag
         arrays[f"panel_{s}"] = panel
-    for i, arr in enumerate(state.scratch.values()):
-        arrays[f"scratch_{i}"] = arr
-    for i, (_key, (_is_tuple, saved)) in enumerate(state.transient.items()):
-        for j, (_held, obj) in enumerate(saved):
-            arrays[f"trans_{i}_{j}"] = (obj if isinstance(obj, np.ndarray)
-                                        else np.asarray(obj))
+    if state.workspace is not None:
+        arrays["workspace"] = state.workspace
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as fh:
@@ -204,27 +191,12 @@ def load_checkpoint(path: str | Path):
             nsuper = int(manifest["nsuper"])
             diag = [archive[f"diag_{s}"] for s in range(nsuper)]
             panels = [archive[f"panel_{s}"] for s in range(nsuper)]
-            scratch = {
-                tuple(key): archive[f"scratch_{i}"]
-                for i, key in enumerate(manifest["scratch_keys"])}
-            transient = {}
-            for i, entry in enumerate(manifest["transient"]):
-                saved = []
-                for j, part in enumerate(entry["parts"]):
-                    obj = archive[f"trans_{i}_{j}"]
-                    if not part["array"]:
-                        # Non-ndarray payload part: np.asarray round-trip
-                        # (scalars come back via .item(), sequences as
-                        # lists).
-                        obj = obj.item() if obj.ndim == 0 else obj.tolist()
-                    saved.append((bool(part["held"]), obj))
-                transient[tuple(entry["key"])] = (bool(entry["is_tuple"]),
-                                                  tuple(saved))
+            workspace = (archive["workspace"]
+                         if "workspace" in archive.files else None)
             return CheckpointState(
                 frontier=int(manifest["frontier"]),
                 executed=tuple(int(t) for t in archive["executed"]),
-                diag=diag, panels=panels, scratch=scratch,
-                transient=transient)
+                diag=diag, panels=panels, workspace=workspace)
     except OSError as exc:
         raise CheckpointIOError(
             f"cannot read checkpoint {path}: {exc}") from exc

@@ -42,9 +42,10 @@ class RunResult:
     comm: CommStats          # this run's communication counters
     trace: ExecutionTrace    # the session-accumulated trace
     exec_stats: ExecutorStats | None = None  # this run's flush counters
-    # Ledger snapshot after end-of-run reclamation (device segments freed,
-    # run scratch returned to the pool): live bytes are what *survives* the
-    # run, peaks are the run's high-water marks.
+    # Ledger snapshot at the end of the run (a simulated run's is taken
+    # before its device segments are freed): live bytes include the
+    # resident factor storage and workspaces, peaks are the high-water
+    # marks so far.
     mem: MemorySnapshot = field(default_factory=MemorySnapshot)
 
     @property
@@ -96,7 +97,7 @@ class ExecutionSession:
         self.trace = (trace if trace is not None
                       else ExecutionTrace(keep_timeline=keep_timeline))
         # One ledger is the session's single source of byte truth: factor
-        # storage, kernel scratch, rhs buffers and device segments all
+        # storage, context workspaces, rhs buffers and device segments all
         # charge it.  A shared pool/ledger (the solve service) makes every
         # tenant's sessions report into one account set.
         if ledger is None:
@@ -223,19 +224,18 @@ class ExecutionSession:
     def _finish_run(self, graph: TaskGraph, world: World,
                     result) -> RunResult:
         # End-of-run reclamation: the world is discarded here, so free its
-        # device segments (per-task staging buffers) and return the run's
-        # kernel scratch to the pool.  ``result.mem`` already captured the
-        # in-run peaks; the post-reclamation snapshot goes on the trace so
-        # every layer reports from the same watermark history.  Dropping
-        # the engine's wake hook breaks the engine <-> world cycle, so the
-        # engine and the graph it holds are freed by reference counting
-        # when the caller lets go of the graph, not at the next full GC.
+        # device segments (per-task staging buffers).  The graph context's
+        # workspace stays resident until its owner closes it.
+        # ``result.mem`` already captured the in-run peaks; the
+        # post-reclamation snapshot goes on the trace so every layer
+        # reports from the same watermark history.  Dropping the engine's
+        # wake hook breaks the engine <-> world cycle, so the engine and
+        # the graph it holds are freed by reference counting when the
+        # caller lets go of the graph, not at the next full GC.
         world.wake_hooks.clear()
         for state in world.ranks:
             if state.device is not None:
                 state.device.release_all()
-        if graph.context is not None:
-            graph.context.end_run()
         self.trace.update_memory(self.ledger.snapshot())
         with self._stats_lock:
             self.comm += world.stats

@@ -36,7 +36,7 @@ reference                 resolves to
 ``("diag", s)``           ``storage.diag_block(s)``
 ``("blk", s, bi)``        ``storage.off_block(s, bi)``
 ``("panel", s)``          ``storage.panels[s]`` (full off-diagonal panel)
-``("scratch", key)``      a named accumulator array (aggregate buffers)
+``("scratch", key)``      a view of a workspace slot (aggregates, fronts)
 ``("rhs",)``              the dense right-hand-side block of a solve graph
 ========================  =====================================================
 
@@ -110,22 +110,17 @@ class ExecContext:
     rhs:
         Dense ``(n, nrhs)`` right-hand-side block of a solve graph
         (column-major, so each column is contiguous).
-    scratch:
-        Named accumulator arrays (fan-in / fan-both aggregate buffers),
-        registered at graph-build time and zeroed by :meth:`fresh_run`.
-    transient:
-        Run-lifetime payloads handed between kernels (multifrontal
-        contribution blocks); cleared by :meth:`fresh_run`.
+    slots:
+        The workspace layout, ``key -> (offset, shape)`` in elements,
+        reserved by the graph builder (:meth:`reserve`).
+    workspace:
+        One pool buffer backing every slot (:meth:`fresh_run`).  Kernels
+        only ever see views of it, so no kernel allocates and nothing a
+        kernel holds can outlive its run.
     pool:
-        :class:`~repro.memory.BufferPool` backing scratch and kernel
-        buffers; a private pool is created lazily when the context is
-        used standalone (sessions inject their shared, ledgered pool).
-    plan_arena:
-        When a compiled-plan replay is executing, the
-        :class:`~repro.plans.PlanArena` kernel-held buffers route
-        through instead of the pool — warm replays then serve every
-        ``take_buffer`` from the arena's retained cache with zero new
-        ledger charges.  ``None`` (default) keeps the classic pool path.
+        :class:`~repro.memory.BufferPool` the workspace comes from; a
+        private pool is created lazily when the context is used
+        standalone (sessions inject their shared, ledgered pool).
     """
 
     def __init__(self, storage: Any = None,
@@ -134,134 +129,63 @@ class ExecContext:
         self.storage = storage
         self.rhs = rhs
         self.pool = pool
-        self.plan_arena: Any = None
-        self.scratch: dict = {}
-        self.transient: dict = {}
-        self.epoch = 0  # bumped by end_run(): one epoch per graph run
-        # Registered scratch shapes survive end_run(), so a later
-        # fresh_run() can re-take released buffers from the pool.
-        self._scratch_shapes: dict[tuple, tuple[int, ...]] = {}
-        # id(array) -> array for buffers kernels hold mid-run (frontal
-        # fronts and contribution blocks); must be empty at end_run().
-        self._held: dict[int, np.ndarray] = {}
+        self.slots: dict = {}
+        self.size = 0  # workspace elements
+        self.workspace: np.ndarray | None = None
+        self._views: dict = {}
 
-    def _ensure_pool(self) -> BufferPool:
-        if self.pool is None:
-            self.pool = BufferPool()
-        return self.pool
+    def reserve(self, key: Any, shape: Sequence[int],
+                offset: int | None = None) -> None:
+        """Reserve the workspace slot ``key`` of ``shape`` elements.
 
-    def scratch_array(self, key: tuple,
-                      shape: Sequence[int]) -> np.ndarray:
-        """Get-or-create the named zero-initialised accumulator.
-
-        A cache hit with a different ``shape`` is a graph-build bug (two
-        buffers silently aliased); it raises instead of returning the
-        mismatched array.
+        Without ``offset`` the slot goes past every slot reserved so far,
+        so it lives for the whole run; a builder that lays slots out
+        itself (:func:`repro.memory.pack_slots`) passes their offsets.
+        Re-reserving a key with its own shape is a no-op; with another
+        shape it is a graph-build bug (two buffers silently aliased) and
+        raises.
         """
-        arr = self.scratch.get(key)
-        if arr is None:
-            known = self._scratch_shapes.get(key)
-            if known is not None and known != tuple(shape):
+        shape = tuple(int(d) for d in shape)
+        known = self.slots.get(key)
+        if known is not None:
+            if known[1] != shape:
                 raise ValueError(
-                    f"scratch array {key!r} already registered with shape "
-                    f"{known}, requested {tuple(shape)}")
-            arr = self._ensure_pool().take(shape, label="scratch")
-            self.scratch[key] = arr
-            self._scratch_shapes[key] = tuple(shape)
-        elif arr.shape != tuple(shape):
-            raise ValueError(
-                f"scratch array {key!r} already registered with shape "
-                f"{arr.shape}, requested {tuple(shape)}")
-        return arr
-
-    # ------------------------------------------------- kernel-held buffers
-
-    def take_buffer(self, shape: Sequence[int],
-                    label: str = "kernel",
-                    zero: bool = True) -> np.ndarray:
-        """Pool-backed run-lifetime buffer for a kernel handler.
-
-        Multifrontal fronts and contribution blocks live here; every
-        take must be balanced by :meth:`release_buffer` before the run
-        ends (``end_run`` reconciles).  During a compiled-plan replay
-        (``plan_arena`` set) the arena serves the take from its retained
-        cache when it can.
-        """
-        arena = self.plan_arena
-        if arena is not None:
-            arr = arena.take(shape, label=label, zero=zero)
-        else:
-            arr = self._ensure_pool().take(shape, label=label, zero=zero)
-        self._held[id(arr)] = arr
-        return arr
-
-    def release_buffer(self, arr: np.ndarray) -> None:
-        """Return a :meth:`take_buffer` buffer to the pool (or arena)."""
-        held = self._held.pop(id(arr), None)
-        if held is None:
-            raise KeyError("release_buffer() of an array not held by this "
-                           "context")
-        arena = self.plan_arena
-        if arena is not None:
-            arena.give(arr)
-        else:
-            self._ensure_pool().give(arr)
+                    f"workspace slot {key!r} already reserved with shape "
+                    f"{known[1]}, requested {shape}")
+            return
+        if self.workspace is not None:
+            raise RuntimeError("workspace slots are reserved before the "
+                               "graph first runs")
+        if offset is None:
+            offset = self.size
+        self.slots[key] = (int(offset), shape)
+        self.size = max(self.size, int(offset) + int(np.prod(shape)))
 
     # --------------------------------------------------------- run lifetime
 
     def fresh_run(self) -> None:
-        """Reset run-scoped state so the owning graph can execute again.
+        """Zero the workspace so the owning graph can execute again.
 
-        Scratch buffers released by a previous :meth:`end_run` are
-        re-taken from the pool (zeroed — free-list reuse across graph
-        replays); surviving ones are zeroed in place, so graphs that keep
-        direct references stay valid.
+        The first call takes the whole workspace from the pool; later
+        calls zero-fill it in place.
         """
-        for key, shape in self._scratch_shapes.items():
-            arr = self.scratch.get(key)
-            if arr is None:
-                self.scratch[key] = self._ensure_pool().take(
-                    shape, label="scratch")
-            else:
-                arr[:] = 0.0
-        self._drop_transient()
-
-    def end_run(self) -> None:
-        """Close out one graph execution: release scratch, reconcile.
-
-        Every scratch buffer goes back to the pool's free list (the next
-        ``fresh_run`` re-takes it), leftover transients are dropped, and
-        any kernel buffer still held is a leak — raised loudly so the
-        grow-only-scratch failure mode cannot silently return.
-        """
-        self._drop_transient()
-        pool = self.pool
-        if pool is not None:
-            for arr in self.scratch.values():
-                pool.give(arr)
-        self.scratch.clear()
-        if self._held:
-            shapes = [a.shape for a in self._held.values()]
-            self._held.clear()
-            raise RuntimeError(
-                f"kernel buffer leak: {len(shapes)} buffer(s) still held "
-                f"at end of run (shapes {shapes[:5]})")
-        self.epoch += 1
+        if self.workspace is not None:
+            self.workspace.fill(0.0)
+        elif self.size:
+            if self.pool is None:
+                self.pool = BufferPool()
+            ws = self.workspace = self.pool.take((self.size,),
+                                                 label="workspace")
+            self._views = {
+                key: ws[off:off + int(np.prod(shape))].reshape(shape)
+                for key, (off, shape) in self.slots.items()}
 
     def close(self) -> None:
-        """Release everything and forget the scratch registry."""
-        self.end_run()
-        self._scratch_shapes.clear()
-
-    def _drop_transient(self) -> None:
-        """Clear transients, returning any pool-held payloads."""
-        if self.transient:
-            for val in list(self.transient.values()):
-                parts = val if isinstance(val, tuple) else (val,)
-                for obj in parts:
-                    if isinstance(obj, np.ndarray) and id(obj) in self._held:
-                        self.release_buffer(obj)
-            self.transient.clear()
+        """Give the workspace back to the pool (idempotent)."""
+        ws, self.workspace = self.workspace, None
+        self._views = {}
+        if ws is not None:
+            self.pool.give(ws)
 
     def resolve(self, ref: tuple) -> np.ndarray:
         """Resolve a symbolic operand reference to a live array."""
@@ -273,7 +197,7 @@ class ExecContext:
         if kind == "panel":
             return self.storage.panels[ref[1]]
         if kind == "scratch":
-            return self.scratch[ref[1]]
+            return self._views[ref[1]]
         if kind == "rhs":
             return self.rhs
         raise KeyError(f"unknown operand reference {ref!r}")
@@ -355,7 +279,13 @@ def _op_axpy_sub(ctx: ExecContext, tgt_ref: tuple, agg_ref: tuple) -> None:
 
 
 def _op_frontal(ctx: ExecContext, s: int, kids: Sequence[int]) -> None:
-    """Multifrontal front: assemble, extend-add, partially factor, scatter."""
+    """Multifrontal front: assemble, extend-add, partially factor, scatter.
+
+    The front is a view of the workspace's shared front region (a front
+    is private to its call, and calls never run concurrently); the Schur
+    update goes to the supernode's own slot ``("update", s)``, which its
+    parent's call reads.
+    """
     storage = ctx.storage
     analysis = storage.analysis
     part = analysis.supernodes
@@ -370,10 +300,9 @@ def _op_frontal(ctx: ExecContext, s: int, kids: Sequence[int]) -> None:
     a = analysis.a_perm.lower
     indptr = a.indptr
 
-    # The front and the Schur update come from the context's pool (the
-    # multifrontal frontal/update stack); the update is handed to the
-    # parent through ``transient`` and released there after extend-add.
-    front = ctx.take_buffer((w + m, w + m), label="frontal")
+    front_ref = ("scratch", "front")
+    front = ctx.resolve(front_ref)[:(w + m) ** 2].reshape(w + m, w + m)
+    front.fill(0.0)
     # Assemble original entries of A (lower triangle), all columns at once.
     p0, p1 = indptr[fc], indptr[lc + 1]
     rows = a.indices[p0:p1]
@@ -381,24 +310,21 @@ def _op_frontal(ctx: ExecContext, s: int, kids: Sequence[int]) -> None:
     front[np.searchsorted(front_vars, rows), cols] = a.data[p0:p1]
     # Extend-add the children's contribution blocks.
     for child in kids:
-        c_rows, c_block = ctx.transient.pop(("contrib", child))
-        idx = np.searchsorted(front_vars, c_rows)
-        front[np.ix_(idx, idx)] += c_block
-        ctx.release_buffer(c_block)
+        idx = np.searchsorted(front_vars, part.structs[child])
+        front[np.ix_(idx, idx)] += ctx.resolve(("scratch", ("update", child)))
     # Partial factorization of the first w variables.
     l11 = kd.potrf(front[:w, :w])
     front[:w, :w] = l11
     if m:
         l21 = kd.trsm_right_lower_trans(front[w:, :w], l11)
         front[w:, :w] = l21
-        update = ctx.take_buffer((m, m), label="frontal", zero=False)
-        np.subtract(front[w:, w:], kd.syrk_lower(l21), out=update)
-        ctx.transient[("contrib", s)] = (struct, update)
+        update_ref = ("scratch", ("update", s))
+        np.subtract(front[w:, w:], kd.syrk_lower(l21),
+                    out=ctx.resolve(update_ref))
     # Scatter the eliminated columns into the shared factor.
     storage.diag_block(s)[:, :] = front[:w, :w]
     if m:
         storage.panels[s][:, :] = front[w:, :w]
-    ctx.release_buffer(front)
 
 
 # The three solve kernels sweep a multi-column rhs column by column so

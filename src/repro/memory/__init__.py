@@ -1,6 +1,6 @@
 """Unified memory subsystem: pooled, ledgered, memory-kind-aware buffers.
 
-Two pieces (see ``docs/memory.md``):
+Three pieces (see ``docs/memory.md``):
 
 * :class:`~repro.memory.ledger.MemoryLedger` — per-rank, per-space byte
   accounting (live/peak/allocation counts, optional budgets) shared by
@@ -9,12 +9,16 @@ Two pieces (see ``docs/memory.md``):
 * :class:`~repro.memory.pool.BufferPool` — ledger-charged NumPy arena
   with per-shape free lists, so graph replays reuse memory instead of
   re-allocating while keeping results bit-identical to ``np.zeros``
-  allocation.
+  allocation;
+* :func:`~repro.memory.layout.pack_slots` — the static layout of an
+  execution context's workspace, whose slots share bytes only when
+  their lives do not meet.
 """
 
 from .ledger import (AccountSnapshot, MemoryBudgetExceeded, MemoryLedger,
                      MemorySnapshot)
+from .layout import check_slots, pack_slots
 from .pool import BufferPool
 
 __all__ = ["AccountSnapshot", "BufferPool", "MemoryBudgetExceeded",
-           "MemoryLedger", "MemorySnapshot"]
+           "MemoryLedger", "MemorySnapshot", "check_slots", "pack_slots"]

@@ -1,9 +1,10 @@
 """The buffer pool: ledger-charged NumPy arenas with free-list reuse.
 
 Every dense buffer the solvers allocate — factor diag pools and panels,
-kernel scratch (fan-in/fan-both aggregates), multifrontal frontal and
-update stacks, solve right-hand sides — is taken from a
-:class:`BufferPool` and given back when its lifetime ends.  The pool
+execution-context workspaces (fan-in/fan-both aggregates, multifrontal
+fronts and updates), solve right-hand sides — is taken from a
+:class:`BufferPool` by its one owner and given back when that owner
+releases it.  The pool
 
 * charges every outstanding buffer to a shared
   :class:`~repro.memory.ledger.MemoryLedger` account (so live/peak
@@ -69,9 +70,6 @@ class BufferPool:
 
     # -------------------------------------------------------- take / give
 
-    # flow: transfer -- the ledger charge is made on the caller's behalf;
-    # ownership of the charge leaves with the returned buffer (give() pays
-    # it back), so the flow analysis must not expect a release here.
     def take(self, shape: Sequence[int], dtype: Any = np.float64,
              label: str = "buffer", zero: bool = True) -> np.ndarray:
         """Allocate (or reuse) a C-contiguous array of ``shape``.

@@ -8,12 +8,12 @@ See :mod:`repro.plans.plan` for the design.  Public surface:
   task graph's canonical stream (:attr:`~repro.core.tasks.TaskGraph
   .stream`, levelized once per graph); a plan is replayed by handing
   its frozen stream to
-  :meth:`~repro.kernels.dispatch.KernelExecutor.execute_stream`;
-* :class:`PlanArena` — retained kernel-buffer cache making warm replays
-  allocation-free.
+  :meth:`~repro.kernels.dispatch.KernelExecutor.execute_stream`.
+
+A replay allocates nothing: its kernels work in the execution
+context's resident workspace (:class:`~repro.kernels.dispatch.ExecContext`).
 """
 
-from .arena import PlanArena
 from .plan import NumericPlan, PlanStats, compile_plan
 
-__all__ = ["NumericPlan", "PlanStats", "PlanArena", "compile_plan"]
+__all__ = ["NumericPlan", "PlanStats", "compile_plan"]

@@ -11,8 +11,8 @@ manager then
    (``FanOutEngine.execute_through``) — a prefix of the one stream every
    run executes, so partial execution cannot perturb bytes;
 2. snapshots the numeric state: every supernode's diagonal block and
-   panel (supernode-granular, per ``FactorStorage``), scratch
-   accumulators, and in-flight transient payloads;
+   panel (supernode-granular, per ``FactorStorage``) and one copy of the
+   graph context's workspace (aggregates, in-flight update matrices);
 3. records the executed set (that prefix) and the frontier, from which
    dependency counters and the stream cursor are rederivable on
    restart.
@@ -32,7 +32,7 @@ I/O failure).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,9 +53,7 @@ class CheckpointState:
     executed: tuple[int, ...]
     diag: list[np.ndarray] = field(default_factory=list)
     panels: list[np.ndarray] = field(default_factory=list)
-    scratch: dict = field(default_factory=dict)
-    # key -> (is_tuple, ((was_pool_held, payload), ...))
-    transient: dict = field(default_factory=dict)
+    workspace: np.ndarray | None = None  # None: the context has none
 
 
 class CheckpointManager:
@@ -112,24 +110,12 @@ class CheckpointManager:
         storage = ctx.storage
         lev = engine.levelization
         executed = tuple(np.sort(lev.order[:lev.prefix(frontier)]).tolist())
-        transient: dict = {}
-        for key, val in ctx.transient.items():
-            is_tuple = isinstance(val, tuple)
-            parts = val if is_tuple else (val,)
-            saved = []
-            for obj in parts:
-                if isinstance(obj, np.ndarray):
-                    saved.append((id(obj) in ctx._held, obj.copy()))
-                else:
-                    saved.append((False, obj))
-            transient[key] = (is_tuple, tuple(saved))
         return CheckpointState(
             frontier=frontier,
             executed=executed,
             diag=[d.copy() for d in storage.diag],
             panels=[p.copy() for p in storage.panels],
-            scratch={key: arr.copy() for key, arr in ctx.scratch.items()},
-            transient=transient,
+            workspace=None if ctx.workspace is None else ctx.workspace.copy(),
         )
 
     def _persist(self) -> None:
@@ -150,25 +136,11 @@ class CheckpointManager:
         if state is None:
             raise ValueError("no checkpoint to restore")
         ctx = graph.context
-        ctx.fresh_run()  # zero scratch, drop (and release) old transients
         storage = ctx.storage
         for s, d in enumerate(state.diag):
             storage.diag[s][...] = d
         for s, p in enumerate(state.panels):
             storage.panels[s][...] = p
-        for key, arr in state.scratch.items():
-            ctx.scratch_array(key, arr.shape)[...] = arr
-        for key, (is_tuple, saved) in state.transient.items():
-            rebuilt: list[Any] = []
-            for held, obj in saved:
-                if isinstance(obj, np.ndarray):
-                    if held:
-                        buf = ctx.take_buffer(obj.shape, zero=False)
-                        buf[...] = obj
-                        rebuilt.append(buf)
-                    else:
-                        rebuilt.append(obj.copy())
-                else:
-                    rebuilt.append(obj)
-            ctx.transient[key] = tuple(rebuilt) if is_tuple else rebuilt[0]
+        if state.workspace is not None:  # resident since the run began
+            ctx.workspace[...] = state.workspace
         return state

@@ -35,7 +35,9 @@ class FactorEntry:
 
     pattern_key: str
     solver: object
-    values_key: str
+    # The values the solver's factor is of; ``None`` while a
+    # refactorization is in flight or after one failed.
+    values_key: str | None
     nbytes: int
     lock: threading.Lock = field(default_factory=threading.Lock,
                                  repr=False, compare=False)

@@ -211,8 +211,8 @@ class SolveService:
         self.options = replace(options, analysis_cache=self.analysis_cache)
         self.solver_cls = solver_cls
         self.trace = ExecutionTrace()
-        # One ledger + pool across every tenant: factor storages, kernel
-        # scratch, rhs buffers and device segments of all cached solvers
+        # One ledger + pool across every tenant: factor storages, context
+        # workspaces, rhs buffers and device segments of all cached solvers
         # charge the same accounts, so cache budgeting, OOM fallbacks and
         # the counters below all read one source of byte truth.
         self.ledger = MemoryLedger()
@@ -408,8 +408,12 @@ class SolveService:
                     if entry.values_key == req.values_key:
                         return "factor", entry, 0.0, 0, 0.0
                     # Numeric-only change: swap the values in place and
-                    # replay the factorization's plan.
+                    # replay the factorization's plan.  Until that
+                    # succeeds the entry names no values, so a failed
+                    # refactorization leaves the next request to
+                    # refactorize rather than solve with no factor.
                     before = self._plan_snapshot(entry.solver)
+                    entry.values_key = None
                     entry.solver.update_values(req.a)
                     info = entry.solver.factorize()
                     entry.values_key = req.values_key

@@ -101,16 +101,12 @@ class FanBothSolver(SolverBase):
                     label=f"F[{blk.tgt},{s}]", priority=float(s))
 
         # Aggregate buffers per (computing rank, target supernode, target
-        # block index or -1 for the diagonal), in the context scratch space
-        # so fresh_run() zeroes them for graph replay.
-        def aggregate_for(rank: int, t: int, tb: int) -> np.ndarray:
-            if tb < 0:
-                w_t = part.width(t)
-                shape = (w_t, w_t)
-            else:
-                blk = blocks.blocks[t][tb]
-                shape = (blk.nrows, part.width(t))
-            return ctx.scratch_array(("agg", rank, t, tb), shape)
+        # block index or -1 for the diagonal): workspace slots for the
+        # whole run, zeroed by fresh_run() for graph replay.
+        def aggregate_for(rank: int, t: int, tb: int) -> int:
+            rows = part.width(t) if tb < 0 else blocks.blocks[t][tb].nrows
+            ctx.reserve(("agg", rank, t, tb), (rows, part.width(t)))
+            return rows * part.width(t)
 
         d_consumers: list[dict[int, list[int]]] = [defaultdict(list)
                                                    for _ in range(part.nsup)]
@@ -212,8 +208,8 @@ class FanBothSolver(SolverBase):
 
             apply_task = graph.new_task(
                 kind=TaskKind.UPDATE, rank=downstream.rank, op=kd.OP_GEMM,
-                flops=float(agg.size), buffer_elems=int(agg.size),
-                operand_bytes=int(agg.nbytes),
+                flops=float(agg), buffer_elems=agg,
+                operand_bytes=agg * _F64,
                 kernel=KernelCall(
                     "axpy_sub", (tgt_ref, ("scratch", ("agg", rank, t, tb)))),
                 label=f"APPLY[{rank}->{t},{tb}]", priority=float(t))
@@ -222,7 +218,7 @@ class FanBothSolver(SolverBase):
             for upstream in tasks[:-1]:
                 graph.add_dependency(upstream, sender)
             sender.messages.append(OutMessage(
-                dst_rank=downstream.rank, nbytes=int(agg.nbytes),
+                dst_rank=downstream.rank, nbytes=agg * _F64,
                 consumers=[apply_task.tid]))
             apply_task.deps += 1
 

@@ -17,7 +17,7 @@ just cited:
 
 Numerics are identical to the fan-out solver (same symbolic phase, same
 kernels); only where updates execute and what travels on the network
-differ.  Aggregate buffers live in the graph context's scratch space
+differ.  Aggregate buffers are slots of the graph context's workspace
 (zeroed per run), so the built graph replays across factorizations.
 """
 
@@ -77,12 +77,13 @@ class FanInSolver(SolverBase):
 
         # Aggregate buffers: one per (source rank, target supernode) pair
         # that has at least one remote update.  Shaped like the target's
-        # full panel (diag + off-diag rows) for simple scatter-adds; they
-        # live in the context scratch space so fresh_run() zeroes them.
-        def aggregate_for(rank: int, t: int) -> np.ndarray:
+        # full panel (diag + off-diag rows) for simple scatter-adds; each
+        # is a workspace slot for the whole run, zeroed by fresh_run().
+        def aggregate_for(rank: int, t: int) -> int:
             w = part.width(t)
             rows = part.structs[t].size
-            return ctx.scratch_array(("agg", rank, t), (w + rows, w))
+            ctx.reserve(("agg", rank, t), (w + rows, w))
+            return (w + rows) * w
 
         panel_task: list[SimTask] = [None] * part.nsup  # type: ignore
         for s in range(part.nsup):
@@ -115,7 +116,7 @@ class FanInSolver(SolverBase):
                 col_pos = col_blk.rows - fc_t
                 remote = self._owner(t) != src_rank
                 if remote:
-                    aggregate_for(src_rank, t)  # register the scratch buffer
+                    aggregate_for(src_rank, t)  # reserve the slot
                     agg_ref = ("scratch", ("agg", src_rank, t))
                 actions = []
                 flops = 0.0
@@ -184,9 +185,9 @@ class FanInSolver(SolverBase):
                 kind=TaskKind.UPDATE,
                 rank=self._owner(t),
                 op=kd.OP_GEMM,
-                flops=float(agg.size),  # an AXPY-like accumulation
-                buffer_elems=int(agg.size),
-                operand_bytes=int(agg.nbytes),
+                flops=float(agg),  # an AXPY-like accumulation
+                buffer_elems=agg,
+                operand_bytes=agg * _F64,
                 kernel=KernelCall("apply_panel",
                                   (t, ("scratch", ("agg", src_rank, t)))),
                 label=f"APPLY[{src_rank}->{t}]",
@@ -200,7 +201,7 @@ class FanInSolver(SolverBase):
             for upstream in tasks[:-1]:
                 graph.add_dependency(upstream, sender)
             sender.messages.append(OutMessage(
-                dst_rank=self._owner(t), nbytes=int(agg.nbytes),
+                dst_rank=self._owner(t), nbytes=agg * _F64,
                 consumers=[apply_task.tid]))
             apply_task.deps += 1
 

@@ -34,6 +34,7 @@ from ..core.tasks import OutMessage, SimTask, TaskGraph, TaskKind
 from ..kernels import dense as kd
 from ..kernels import flops as kf
 from ..kernels.dispatch import KernelCall
+from ..memory import pack_slots
 from ..sparse.csc import SymmetricCSC
 from ..symbolic.analysis import SymbolicAnalysis
 
@@ -149,10 +150,18 @@ class MultifrontalSolver(SolverBase):
 
     def _build_factor_graph(self) -> TaskGraph:
         """Assembly-tree DAG of ``frontal`` tasks; contribution blocks are
-        the only messages (and travel via the context's transient store)."""
+        the only messages.
+
+        The context's workspace holds one front region, sized for the
+        largest front (fronts are private to their call), and one slot
+        per update matrix, live from its supernode's front to its
+        parent's; :func:`~repro.memory.pack_slots` lets updates whose
+        lives cannot meet share bytes.
+        """
         analysis = self.analysis
         part = analysis.supernodes
-        graph = TaskGraph(context=self._exec_context())
+        ctx = self._exec_context()
+        graph = TaskGraph(context=ctx)
 
         front_task: list[SimTask] = [None] * part.nsup  # type: ignore
         children: list[list[int]] = [[] for _ in range(part.nsup)]
@@ -194,4 +203,15 @@ class MultifrontalSolver(SolverBase):
                     dst_rank=parent_t.rank, nbytes=nbytes,
                     consumers=[parent_t.tid]))
                 parent_t.deps += 1
+
+        m = part.struct_sizes
+        front = int(((np.diff(part.sn_start) + m) ** 2).max())
+        ctx.reserve("front", (front,))
+        # An update (every supernode with rows below it has one) is
+        # written by its supernode's front and read by its parent's.
+        updates = np.flatnonzero(part.parent_sn >= 0)
+        offsets, _total = pack_slots(m[updates] ** 2, updates,
+                                     part.parent_sn[updates], part.parent_sn)
+        for s, off in zip(updates.tolist(), offsets.tolist()):
+            ctx.reserve(("update", s), (m[s], m[s]), offset=front + off)
         return graph

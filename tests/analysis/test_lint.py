@@ -109,7 +109,7 @@ class TestHandlerRule:
 
     def test_mutating_method_on_accessor_flagged(self):
         text = ("def _op_potrf_diag(ctx, s):\n"
-                "    ctx.scratch.clear()\n")
+                "    ctx.rhs.fill(0.0)\n")
         findings = lint_source(text, "dispatch.py", rel=self.REL)
         assert [f.rule for f in findings] == ["REP105"]
 
@@ -149,8 +149,39 @@ class TestPoolAllocRule:
         assert rules(text, rel="variants/fanin.py") == ["REP106"]
 
     def test_pool_take_clean(self):
-        text = "buf = pool.take((4, 4), float, label='x')\n"
+        # A take in the buffer's owner is the sanctioned allocation.
+        text = ("class FactorStorage:\n"
+                "    def __init__(self, pool):\n"
+                "        self.buf = pool.take((4, 4), float, label='x')\n")
         assert rules(text, rel="core/storage.py") == []
+
+    def test_pool_take_outside_owner_flagged(self):
+        # Any module outside memory/, any receiver: only the owner
+        # methods in POOL_OWNERS may take or give pool buffers.
+        text = ("def _op_frontal(ctx, s, kids):\n"
+                "    front = ctx.pool.take((4, 4))\n"
+                "    ctx.pool.give(front)\n")
+        findings = lint_source(text, "dispatch.py",
+                               rel="kernels/dispatch.py")
+        assert [f.rule for f in findings if f.rule == "REP106"] == \
+            ["REP106", "REP106"]
+        assert "_op_frontal" in findings[0].message
+        for rel in ("service/service.py", "core/base.py"):
+            text = "def f(self):\n    self.session.pool.give(self.buf)\n"
+            assert rules(text, rel=rel) == ["REP106"], rel
+
+    def test_pool_owner_allowlist_exact(self):
+        owner = ("class SolverBase:\n"
+                 "    def _rhs_buffer(self, n):\n"
+                 "        return self.session.pool.take((n, 4))\n")
+        assert rules(owner, rel="core/base.py") == []
+        # The same method name in another file owns nothing.
+        assert rules(owner, rel="core/solver.py") == ["REP106"]
+        # The pool module itself and numpy's take are not pool calls.
+        assert rules("def f(p, a):\n    return p.take((2,))\n",
+                     rel="memory/pool.py") == []
+        assert rules("import numpy as np\nX = np.take([1, 2], [0])\n",
+                     rel="core/base.py") == []
 
     def test_nested_helper_inherits_allowlist(self):
         # The allowlisted outer scope covers helpers defined inside it.

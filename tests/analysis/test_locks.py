@@ -2,8 +2,8 @@
 
 from textwrap import dedent
 
-from repro.analysis.locks import (DEFAULT_LOCK_MODULES, analyze_locks)
-from repro.analysis.ownership import ModuleSource
+from repro.analysis.locks import (DEFAULT_LOCK_MODULES, ModuleSource,
+                                  analyze_locks)
 
 
 def findings_for(*sources):

@@ -9,7 +9,6 @@ import pytest
 
 from repro.analysis.mutation import (format_reports,
                                      selftest_flow_locks,
-                                     selftest_flow_ownership,
                                      selftest_lint,
                                      selftest_pool_lint, selftest_races,
                                      selftest_wallclock_lint,
@@ -89,10 +88,18 @@ class TestPoolLintSelftest:
         assert report.clean_findings == []
 
     def test_raw_alloc_reported(self, report):
-        findings = report.injected_findings
+        findings = [f for f in report.injected_findings
+                    if "np.zeros" in f.message]
         assert [f.rule for f in findings] == ["REP106"]
-        assert "np.zeros" in findings[0].message
         assert "BufferPool" in findings[0].message
+
+    def test_kernel_pool_take_reported_at_planted_line(self, report):
+        findings = [f for f in report.injected_findings
+                    if "_op_rep106_probe" in f.message]
+        assert [f.rule for f in findings] == ["REP106", "REP106"]
+        assert ".take()" in findings[0].message
+        assert ".give()" in findings[1].message
+        assert not any(r.endswith("-precise") for r in report.expect_rules)
 
 
 class TestWallClockLintSelftest:
@@ -110,33 +117,6 @@ class TestWallClockLintSelftest:
         findings = report.injected_findings
         assert [f.rule for f in findings] == ["REP107"]
         assert "time.monotonic" in findings[0].message
-
-
-class TestFlowOwnershipSelftest:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return selftest_flow_ownership()
-
-    def test_passes(self, report):
-        assert report.ok, format_reports([report])
-
-    def test_real_layers_clean(self, report):
-        assert report.clean_findings == []
-
-    def test_all_four_rules_fire(self, report):
-        fired = {f.rule for f in report.injected_findings}
-        assert {"REP200", "REP201", "REP202", "REP203"} <= fired
-
-    def test_precision_pseudo_rules_absent(self, report):
-        # Every planted defect was flagged at its exact line: no unmet
-        # "<rule>-precise" expectation was appended.
-        assert not any(r.endswith("-precise") for r in report.expect_rules)
-
-    def test_findings_name_the_probe_functions(self, report):
-        messages = " ".join(f.message for f in report.injected_findings)
-        for probe in ("_flow_rep200_probe", "_flow_rep201_probe",
-                      "_flow_rep202_probe", "_flow_rep203_probe"):
-            assert probe in messages
 
 
 class TestFlowLocksSelftest:

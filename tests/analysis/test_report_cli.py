@@ -52,25 +52,32 @@ class TestCliExitCodes:
     def test_flow_clean_tree_exits_zero(self, capsys):
         assert main(["flow"]) == 0
         out = capsys.readouterr().out
-        assert "ownership (REP200-203)" in out
-        assert "locks     (REP210-211)" in out
+        assert "locks (REP210-211)" in out
+        assert "REP200" not in out
 
     def test_flow_bad_path_is_usage_error(self, capsys):
         assert main(["flow", "/no/such/module.py"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    COUNTER = ("import threading\n\n"
+               "class Counter:\n"
+               "    def __init__(self):\n"
+               "        self._lock = threading.Lock()\n"
+               "        self.count = 0\n\n"
+               "    def bump(self):\n"
+               "        with self._lock:\n"
+               "            self.count += 1\n")
+
     def test_flow_findings_exit_nonzero(self, tmp_path, capsys):
-        bad = tmp_path / "leaky.py"
-        bad.write_text("def run(pool, shape):\n"
-                       "    buf = pool.take(shape)\n")
+        bad = tmp_path / "unguarded.py"
+        bad.write_text(self.COUNTER + "\n    def sneak(self):\n"
+                                      "        self.count += 1\n")
         assert main(["flow", str(bad)]) == 1
-        assert "REP200" in capsys.readouterr().out
+        assert "REP210" in capsys.readouterr().out
 
     def test_flow_explicit_clean_file_exits_zero(self, tmp_path):
         good = tmp_path / "fine.py"
-        good.write_text("def run(pool, shape):\n"
-                        "    buf = pool.take(shape)\n"
-                        "    pool.give(buf)\n")
+        good.write_text(self.COUNTER)
         assert main(["flow", str(good)]) == 0
 
     def test_lint_clean_tree_exits_zero(self):

@@ -115,12 +115,16 @@ class TestGraphReuse:
         assert solver.residual_norm(x2, np.ones(a.n)) < 1e-10
 
     def test_multifrontal_refactorize(self):
-        """Transient contribution blocks must not leak across runs."""
+        """Contribution blocks live in the one resident workspace."""
         a = grid_laplacian_2d(10, 10)
         solver = MultifrontalSolver(a, MultifrontalOptions(nranks=4))
         f1 = solver.factorize()
+        ctx = solver._factor_graph.context
+        workspace = ctx.workspace
         l1 = solver.storage.to_sparse_factor().toarray().copy()
         f2 = solver.factorize()
         assert np.array_equal(l1, solver.storage.to_sparse_factor().toarray())
         assert f1.simulated_seconds == f2.simulated_seconds
-        assert not solver._factor_graph.context.transient
+        assert ctx.workspace is workspace
+        assert solver.session.pool.outstanding() == \
+            solver.session.pool.outstanding("factor") + 1

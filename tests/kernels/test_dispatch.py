@@ -33,29 +33,65 @@ class TestKernelCall:
 
 
 class TestExecContext:
-    def test_scratch_array_get_or_create(self):
+    def test_reserved_slot_is_a_workspace_view(self):
         ctx = ExecContext()
-        a = ctx.scratch_array(("agg", 0, 1), (2, 3))
+        ctx.reserve(("agg", 0, 1), (2, 3))
+        ctx.reserve(("agg", 0, 1), (2, 3))  # same shape: a no-op
+        ctx.reserve(("agg", 1, 1), (4,))
+        assert ctx.slots == {("agg", 0, 1): (0, (2, 3)),
+                             ("agg", 1, 1): (6, (4,))}
+        ctx.fresh_run()
+        a = ctx.resolve(("scratch", ("agg", 0, 1)))
         assert a.shape == (2, 3) and not a.any()
-        a[0, 0] = 5.0
-        assert ctx.scratch_array(("agg", 0, 1), (2, 3)) is a
+        assert a.base is ctx.workspace and ctx.workspace.shape == (10,)
+        assert ctx.resolve(("scratch", ("agg", 1, 1))).base is ctx.workspace
 
     def test_fresh_run_zeroes_scratch_in_place(self):
         ctx = ExecContext()
-        a = ctx.scratch_array("k", (2, 2))
+        ctx.reserve("k", (2, 2))
+        ctx.fresh_run()
+        a = ctx.resolve(("scratch", "k"))
+        workspace = ctx.workspace
         a[:] = 7.0
-        ctx.transient["x"] = object()
+        takes = ctx.pool.takes
         ctx.fresh_run()
         assert not a.any()
-        assert ctx.scratch["k"] is a  # same array, graphs keep their refs
-        assert not ctx.transient
+        assert ctx.workspace is workspace  # taken once, zeroed in place
+        assert ctx.resolve(("scratch", "k")) is a
+        assert ctx.pool.takes == takes
+
+    def test_close_gives_the_workspace_back(self):
+        ctx = ExecContext()
+        ctx.reserve("k", (3, 3))
+        ctx.fresh_run()
+        assert ctx.pool.ledger.live_label("workspace") == 72
+        ctx.close()
+        ctx.close()  # idempotent
+        assert ctx.workspace is None
+        assert ctx.pool.ledger.live() == 0
+        with pytest.raises(KeyError):
+            ctx.resolve(("scratch", "k"))
+
+    def test_reserve_after_first_run_raises(self):
+        ctx = ExecContext()
+        ctx.reserve("k", (2,))
+        ctx.fresh_run()
+        with pytest.raises(RuntimeError, match="before the graph"):
+            ctx.reserve("late", (2,))
+
+    def test_empty_workspace_takes_nothing(self):
+        ctx = ExecContext()
+        ctx.fresh_run()
+        assert ctx.workspace is None and ctx.pool is None
 
     def test_resolve_rhs_and_scratch(self):
         rhs = np.zeros((4, 1))
         ctx = ExecContext(rhs=rhs)
         assert ctx.resolve(("rhs",)) is rhs
-        arr = ctx.scratch_array("k", (1, 1))
-        assert ctx.resolve(("scratch", "k")) is arr
+        ctx.reserve("k", (1, 1))
+        ctx.fresh_run()
+        arr = ctx.resolve(("scratch", "k"))
+        assert arr.shape == (1, 1) and arr.base is ctx.workspace
 
     def test_resolve_unknown_ref_raises(self):
         with pytest.raises(KeyError):
@@ -63,21 +99,25 @@ class TestExecContext:
 
 
 def _sub_calls(seed=0, n_targets=3, calls_per=4, shape=(4, 4)):
-    """A pile of gemm_sub calls scattering into named scratch targets."""
+    """A pile of gemm_sub calls scattering into workspace slot targets."""
     rng = np.random.default_rng(seed)
     ctx = ExecContext()
     calls = []
     flat = flat_index(np.arange(shape[0]), np.arange(shape[1]), shape[1])
     for t in range(n_targets):
-        ctx.scratch_array(("tgt", t), shape)
+        ctx.reserve(("tgt", t), shape)
         for c in range(calls_per):
-            a = ctx.scratch_array(("a", t, c), shape)
-            b = ctx.scratch_array(("b", t, c), shape)
-            a[:] = rng.standard_normal(shape)
-            b[:] = rng.standard_normal(shape)
+            ctx.reserve(("a", t, c), shape)
+            ctx.reserve(("b", t, c), shape)
             calls.append(KernelCall("gemm_sub", (
                 ("scratch", ("tgt", t)), ("scratch", ("a", t, c)),
                 ("scratch", ("b", t, c)), flat, -1.0)))
+    ctx.fresh_run()
+    for t in range(n_targets):
+        for c in range(calls_per):
+            for name in ("a", "b"):
+                ctx.resolve(("scratch", (name, t, c)))[:] = \
+                    rng.standard_normal(shape)
     return ctx, calls
 
 
@@ -90,8 +130,8 @@ class TestKernelExecutor:
         for c in calls:
             KERNEL_OPS[c.op](ctx_e, *c.args)
         for t in range(3):
-            assert np.array_equal(ctx_b.scratch[("tgt", t)],
-                                  ctx_e.scratch[("tgt", t)])
+            assert np.array_equal(ctx_b.resolve(("scratch", ("tgt", t))),
+                                  ctx_e.resolve(("scratch", ("tgt", t))))
 
     def test_consecutive_same_op_calls_stacked(self):
         ctx, calls = _sub_calls(seed=1)

@@ -59,13 +59,11 @@ class TestRefactorizeBaseline:
     @pytest.mark.parametrize("solver_cls,options_cls", SOLVERS,
                              ids=[c.__name__ for c, _ in SOLVERS])
     def test_live_bytes_stable_across_replays(self, solver_cls, options_cls):
-        # The scratch leak fix: repeated factorizations reuse their
-        # scratch, so live bytes after replay k equal live bytes after the
-        # first replay — no grow-only scratch.  (The simulated first run
-        # returns its scratch to the pool; replays keep it resident.)
+        # Repeated factorizations reuse the one resident workspace, so
+        # live bytes after replay k equal live bytes after the first
+        # (simulated) run — no grow-only scratch.
         a = spd()
         solver = solver_cls(a, options_cls(nranks=2))
-        solver.factorize()
         solver.factorize()
         baseline = solver.session.ledger.live()
         for _ in range(3):
@@ -73,15 +71,6 @@ class TestRefactorizeBaseline:
             assert solver.session.ledger.live() == baseline
         solver.close()
         assert solver.session.ledger.live() == 0
-
-    def test_scratch_reused_across_replays(self):
-        # Fan-in registers aggregate scratch at build time; a replay must
-        # pop it from the pool's free list instead of re-allocating.
-        a = spd()
-        solver = FanInSolver(a, FanInOptions(nranks=2))
-        solver.factorize()
-        solver.factorize()
-        assert solver.session.pool.reuses > 0
 
     def test_replay_is_bit_identical(self):
         a = spd()

@@ -124,17 +124,20 @@ def test_multi_rhs_solve_plans_keyed_by_width():
     ref.close()
 
 
-def test_close_drops_plans_and_drains_arena():
-    """close() retires the plan arena; the ledger returns to zero."""
+def test_close_drops_plans_and_gives_back_workspaces():
+    """close() drops the plans and gives every workspace back; the
+    ledger returns to zero."""
     a = MATRICES["coalesced"]()
-    solver = SymPackSolver(a, SolverOptions(nranks=1, plan_mode="on"))
+    solver = MultifrontalSolver(a, MultifrontalOptions(nranks=1,
+                                                       plan_mode="on"))
     solver.factorize()
     solver.update_values(_shifted(a, 0.5))
-    solver.factorize()  # warm: populates the arena
-    assert solver._factor_plan is not None
+    solver.factorize()  # a replay: works in the resident workspace
+    ctx = solver._factor_ctx
+    assert solver._factor_plan is not None and ctx.workspace is not None
     solver.close()
     assert solver._factor_plan is None
-    assert solver._plan_arena is None
+    assert ctx.workspace is None
     assert solver.session.ledger.live() == 0
 
 

@@ -86,9 +86,9 @@ def test_batched_flush_matches_run_one(solver_cls, options_cls, matrix_key,
     assert np.array_equal(x_single, x_batched)
 
 
-def test_scratch_array_shape_mismatch_raises():
+def test_workspace_slot_shape_mismatch_raises():
     """Aliased aggregate buffers with conflicting shapes fail loudly."""
     ctx = ExecContext()
-    ctx.scratch_array(("agg", 1), (3, 4))
+    ctx.reserve(("agg", 1), (3, 4))
     with pytest.raises(ValueError, match="shape"):
-        ctx.scratch_array(("agg", 1), (4, 4))
+        ctx.reserve(("agg", 1), (4, 4))

@@ -11,7 +11,9 @@ from repro.core.serialization import (checkpoint_path, load_checkpoint,
                                       save_checkpoint)
 from repro.resilience import (CheckpointIOError, CheckpointState, FaultPlan,
                               ResilienceOptions)
-from repro.sparse import random_spd
+from repro.sparse import grid_laplacian_2d, random_spd
+from repro.variants import (FanInOptions, FanInSolver, MultifrontalOptions,
+                            MultifrontalSolver)
 
 
 def factor_digest(solver):
@@ -30,12 +32,7 @@ def make_state():
         executed=(0, 1, 4),
         diag=[rng.standard_normal((2, 2)), rng.standard_normal((3, 3))],
         panels=[rng.standard_normal((4, 2)), np.zeros((0, 3))],
-        scratch={("acc", 1): rng.standard_normal((3, 3))},
-        transient={
-            ("panel", 0, 1): (True, ((True, rng.standard_normal((2, 2))),
-                                     (False, [0, 2]))),
-            ("meta", 2): (False, ((False, "tag"),)),
-        },
+        workspace=rng.standard_normal(13),
     )
 
 
@@ -50,16 +47,15 @@ class TestSerializationRoundTrip:
             assert np.array_equal(a, b)
         for a, b in zip(loaded.panels, state.panels):
             assert np.array_equal(a, b)
-        assert set(loaded.scratch) == set(state.scratch)
-        for key in state.scratch:
-            assert np.array_equal(loaded.scratch[key], state.scratch[key])
-        assert set(loaded.transient) == set(state.transient)
-        is_tuple, saved = loaded.transient[("panel", 0, 1)]
-        assert is_tuple
-        assert saved[0][0] is True
-        assert np.array_equal(saved[0][1],
-                              state.transient[("panel", 0, 1)][1][0][1])
-        assert loaded.transient[("meta", 2)][1][0][1] == "tag"
+        assert np.array_equal(loaded.workspace, state.workspace)
+
+    def test_round_trip_without_workspace(self, tmp_path):
+        state = make_state()
+        state.workspace = None  # a fan-out graph's context has none
+        save_checkpoint(state, tmp_path, label="factor")
+        loaded = load_checkpoint(checkpoint_path(tmp_path, "factor"))
+        assert loaded.workspace is None
+        assert loaded.executed == state.executed
 
     def test_unwritable_directory_raises_typed_error(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -82,6 +78,21 @@ class TestSerializationRoundTrip:
         contents["waves"] = np.zeros(6, dtype=np.int64)
         np.savez(path, **contents)
         with pytest.raises(CheckpointIOError, match="version 1"):
+            load_checkpoint(path)
+
+    def test_version_2_file_refused(self, tmp_path):
+        """Files from before the one-workspace context carry per-key
+        scratch arrays and transient payloads."""
+        path = save_checkpoint(make_state(), tmp_path)
+        with np.load(path) as archive:
+            contents = {k: archive[k] for k in archive.files}
+        manifest = json.loads(bytes(contents["manifest"]).decode())
+        manifest.update(version=2, scratch_keys=[["agg", 0, 1]],
+                        transient=[])
+        contents["manifest"] = np.bytes_(json.dumps(manifest).encode())
+        contents["scratch_0"] = contents.pop("workspace")
+        np.savez(path, **contents)
+        with pytest.raises(CheckpointIOError, match="version 2"):
             load_checkpoint(path)
 
     def test_corrupt_file_raises_typed_error(self, tmp_path):
@@ -158,3 +169,32 @@ class TestCrashRestartBitIdentity:
         assert worlds[0].makespan() > crash_at
         assert info.simulated_seconds > crash_at
         solver.close()
+
+
+@pytest.mark.parametrize("solver_cls,options_cls", [
+    (FanInSolver, FanInOptions), (MultifrontalSolver, MultifrontalOptions)],
+    ids=["FanInSolver", "MultifrontalSolver"])
+def test_workspace_restored_across_a_crash(solver_cls, options_cls, tmp_path):
+    """A restart copies the checkpoint's workspace back: fan-in aggregates
+    and in-flight multifrontal update matrices, slots that share bytes
+    included, survive the crash bit for bit."""
+    a = grid_laplacian_2d(12, 12)
+
+    def run(res):
+        solver = solver_cls(a, options_cls(nranks=2, resilience=res))
+        info = solver.factorize()
+        out = (factor_digest(solver), solver.session.recoveries,
+               info.simulated_seconds)
+        solver.close()
+        assert solver.session.ledger.live() == 0
+        return out
+
+    base, _, makespan = run(ResilienceOptions(hardened=True,
+                                              checkpoint_every=1))
+    digest, recoveries, _ = run(ResilienceOptions(
+        hardened=True, checkpoint_every=1, checkpoint_dir=str(tmp_path),
+        faults=FaultPlan(seed=0, crashes=((1, 0.5 * makespan),))))
+    assert recoveries >= 1
+    assert digest == base
+    persisted = load_checkpoint(checkpoint_path(tmp_path, "factor"))
+    assert persisted.workspace is not None and persisted.frontier >= 0
